@@ -40,7 +40,7 @@ main(int argc, char **argv)
     xen::Toolstack ts(hv, xen::Toolstack::Mode::Parallel);
     Duration init;
     xen::BootBreakdown breakdown;
-    ts.boot({"uk", xen::GuestKind::Unikernel, 128, 1, nullptr},
+    ts.boot({"uk", xen::GuestKind::Unikernel, 128, 1, nullptr, {}},
             [&](xen::Domain &, xen::BootBreakdown b) {
                 init = b.guestInit;
                 breakdown = std::move(b);

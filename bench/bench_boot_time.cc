@@ -28,7 +28,7 @@ bootOnce(xen::GuestKind kind, std::size_t memory_mib)
     xen::Hypervisor hv(engine);
     xen::Toolstack ts(hv, xen::Toolstack::Mode::Synchronous);
     xen::BootBreakdown breakdown;
-    ts.boot({"guest", kind, memory_mib, 1, nullptr},
+    ts.boot({"guest", kind, memory_mib, 1, nullptr, {}},
             [&](xen::Domain &, xen::BootBreakdown b) {
                 breakdown = std::move(b);
             });

@@ -2,8 +2,9 @@
  * @file
  * Real-time microbenchmarks (google-benchmark) of the library's hot
  * paths: Cstruct accessors and slicing, the Internet checksum, the
- * shared-ring protocol, TCP header build/parse, DNS query handling
- * (memo hit vs full path), and B-tree operations. These measure this
+ * shared-ring protocol, the event engine, the grant pool and checker
+ * teardown, TCP header build/parse, DNS query handling (memo hit vs
+ * full path), and B-tree operations. These measure this
  * implementation's own code, complementing the virtual-time
  * reproductions.
  */
@@ -15,12 +16,18 @@
 #include <cstdio>
 #include <memory>
 #include <unistd.h>
+#include <vector>
 
 #include "base/checksum.h"
+#include "base/rand.h"
 #include "bench_json.h"
+#include "check/check.h"
+#include "drivers/grant_pool.h"
 #include "hypervisor/ring.h"
+#include "hypervisor/xen.h"
 #include "sim/engine.h"
 #include "sim/shard.h"
+#include "sim/tuning.h"
 #include "net/tcp_wire.h"
 #include "protocols/dns/server.h"
 #include "storage/btree.h"
@@ -100,6 +107,26 @@ BM_EngineScheduleDispatch(benchmark::State &state)
 }
 
 void
+BM_EngineScheduleDispatchDeep(benchmark::State &state)
+{
+    // The same loop over a queue of 4096 pending events at random
+    // times: every schedule and dispatch sifts through ~12 heap levels,
+    // so this is where the heap's element size shows.
+    sim::Engine engine;
+    Rng rng(1);
+    u64 sink = 0;
+    for (int i = 0; i < 4096; i++)
+        engine.after(Duration::nanos(i64(1 + rng.below(1'000'000))),
+                     [&sink] { sink++; });
+    for (auto _ : state) {
+        engine.after(Duration::nanos(i64(1 + rng.below(1'000'000))),
+                     [&sink] { sink++; });
+        engine.step();
+    }
+    benchmark::DoNotOptimize(sink);
+}
+
+void
 BM_EngineScheduleCancel(benchmark::State &state)
 {
     // Timer-heavy workloads (TCP RTO, poll timeouts) schedule and
@@ -110,6 +137,54 @@ BM_EngineScheduleCancel(benchmark::State &state)
         engine.cancel(id);
         engine.step(); // pops the cancelled slot
     }
+}
+
+void
+BM_GrantPoolAcquire(benchmark::State &state)
+{
+    // A 64-page pool with 63 pages borrowed (posted rx buffers, tx
+    // frames in flight): each acquire must find the one free page.
+    sim::Tuning saved = sim::tuning();
+    sim::tuning().frontendPoolPages = 64;
+    sim::Engine engine;
+    xen::Hypervisor hv(engine);
+    xen::Domain &dom0 =
+        hv.createDomain("dom0", xen::GuestKind::LinuxMinimal, 512);
+    xen::Domain &uk = hv.createDomain("uk", xen::GuestKind::Unikernel, 64);
+    pvboot::PVBoot boot(uk);
+    drivers::GrantPool pool(boot, dom0.id());
+    std::vector<Cstruct> borrowed;
+    for (int i = 0; i < 63; i++)
+        borrowed.push_back(pool.acquirePage().value());
+    for (auto _ : state) {
+        auto page = pool.acquirePage(); // dropped at once: page returns
+        benchmark::DoNotOptimize(page.ok());
+    }
+    borrowed.clear();
+    sim::tuning() = saved;
+}
+
+void
+BM_CheckerDomainTeardown(benchmark::State &state)
+{
+    // Fleet teardown: 400 domains, each with 8 live grants to dom0,
+    // tear down one after another. Time is per 400; items are domains.
+    constexpr u32 kDomains = 400;
+    constexpr u32 kGrants = 8;
+    for (auto _ : state) {
+        state.PauseTiming();
+        check::Checker ck(check::Checker::Mode::Count);
+        ck.enable();
+        for (u32 d = 1; d <= kDomains; d++) {
+            for (u32 g = 1; g <= kGrants; g++)
+                ck.grantCreated(d, g, 0);
+        }
+        state.ResumeTiming();
+        for (u32 d = 1; d <= kDomains; d++)
+            ck.domainTeardown(d);
+        benchmark::DoNotOptimize(ck.violations());
+    }
+    state.SetItemsProcessed(i64(state.iterations()) * kDomains);
 }
 
 void
@@ -346,7 +421,10 @@ BENCHMARK(BM_CstructSubSlice);
 BENCHMARK(BM_InternetChecksum)->Arg(64)->Arg(1460);
 BENCHMARK(BM_SharedRingRoundTrip);
 BENCHMARK(BM_EngineScheduleDispatch);
+BENCHMARK(BM_EngineScheduleDispatchDeep);
 BENCHMARK(BM_EngineScheduleCancel);
+BENCHMARK(BM_GrantPoolAcquire);
+BENCHMARK(BM_CheckerDomainTeardown)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_TcpHeaderBuildParse);
 BENCHMARK(BM_DnsQueryFullPath);
 BENCHMARK(BM_DnsQueryMemoHit);

@@ -40,7 +40,7 @@ main()
 
     // Drive it: ping first, then an echo round trip.
     client.stack.icmp().ping(
-        net::Ipv4Addr(10, 0, 0, 2), 1, 56, [&](Result<Duration> rtt) {
+        net::Ipv4Addr(10, 0, 0, 2), 1, 56, [&](const Result<Duration> &rtt) {
             if (rtt.ok())
                 std::printf("ping 10.0.0.2: rtt=%.1f us\n",
                             rtt.value().toMillisF() * 1000.0);

@@ -81,44 +81,68 @@ Checker::report() const
 
 // ---- Grant tables ----------------------------------------------------------
 
+Checker::GrantShadow *
+Checker::findGrant(u32 owner, u32 ref)
+{
+    auto d = doms_.find(owner);
+    if (d == doms_.end())
+        return nullptr;
+    auto g = d->second.grants.find(ref);
+    return g == d->second.grants.end() ? nullptr : &g->second;
+}
+
+bool
+Checker::wasRevoked(u32 owner, u32 ref) const
+{
+    auto d = doms_.find(owner);
+    return d != doms_.end() && d->second.revoked.count(ref);
+}
+
+void
+Checker::unindexMapping(u32 owner, u32 ref, const GrantShadow &g)
+{
+    // Swap-remove: the last entry takes the vacated slot.
+    std::vector<u64> &m = doms_.at(g.peer).mapping;
+    u64 moved = m.back();
+    m[g.mapSlot] = moved;
+    m.pop_back();
+    if (moved != grantKey(owner, ref))
+        findGrant(u32(moved >> 32), u32(moved))->mapSlot = g.mapSlot;
+}
+
 void
 Checker::grantCreated(u32 owner, u32 ref, u32 peer)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    u64 key = grantKey(owner, ref);
-    if (grants_.count(key)) {
+    if (!doms_[owner].grants.emplace(ref, GrantShadow{peer, 0}).second)
         violation(Subsystem::Grant, "ref_reused",
                   strprintf("dom%u re-issued active ref %u", owner, ref));
-        return;
-    }
-    grants_.emplace(key, GrantShadow{owner, peer, 0});
 }
 
 void
 Checker::grantEndAccess(u32 owner, u32 ref, bool table_ok)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    u64 key = grantKey(owner, ref);
-    auto it = grants_.find(key);
-    if (it == grants_.end()) {
+    GrantShadow *g = findGrant(owner, ref);
+    if (!g) {
         violation(Subsystem::Grant,
-                  revoked_.count(key) ? "double_revoke"
-                                      : "revoke_unknown_ref",
+                  wasRevoked(owner, ref) ? "double_revoke"
+                                         : "revoke_unknown_ref",
                   strprintf("dom%u endAccess(ref=%u)", owner, ref));
         return;
     }
-    if (it->second.mapCount > 0) {
+    if (g->mapCount > 0) {
         violation(Subsystem::Grant, "revoke_while_mapped",
                   strprintf("dom%u endAccess(ref=%u) with %u mappings "
                             "held by dom%u",
-                            owner, ref, it->second.mapCount,
-                            it->second.peer));
+                            owner, ref, g->mapCount, g->peer));
         // The table refuses this too; the grant stays active.
         return;
     }
     if (table_ok) {
-        grants_.erase(it);
-        revoked_.insert(key);
+        DomainShadow &d = doms_.at(owner);
+        d.grants.erase(ref);
+        d.revoked.insert(ref);
     }
 }
 
@@ -126,12 +150,11 @@ void
 Checker::grantMap(u32 owner, u32 ref, u32 peer, bool table_ok)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    u64 key = grantKey(owner, ref);
-    auto it = grants_.find(key);
-    if (it == grants_.end()) {
+    GrantShadow *g = findGrant(owner, ref);
+    if (!g) {
         violation(Subsystem::Grant,
-                  revoked_.count(key) ? "use_after_revoke"
-                                      : "map_unknown_ref",
+                  wasRevoked(owner, ref) ? "use_after_revoke"
+                                         : "map_unknown_ref",
                   strprintf("dom%u mapped dom%u's ref %u", peer, owner,
                             ref));
         return;
@@ -143,71 +166,75 @@ Checker::grantMap(u32 owner, u32 ref, u32 peer, bool table_ok)
                             peer, owner, ref));
         return;
     }
-    it->second.mapCount++;
+    if (g->mapCount++ == 0) {
+        std::vector<u64> &m = doms_[g->peer].mapping;
+        g->mapSlot = u32(m.size());
+        m.push_back(grantKey(owner, ref));
+    }
 }
 
 void
 Checker::grantUnmap(u32 owner, u32 ref, u32 peer, bool table_ok)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    u64 key = grantKey(owner, ref);
-    auto it = grants_.find(key);
-    if (it == grants_.end()) {
+    GrantShadow *g = findGrant(owner, ref);
+    if (!g) {
         violation(Subsystem::Grant,
-                  revoked_.count(key) ? "use_after_revoke"
-                                      : "unmap_unknown_ref",
+                  wasRevoked(owner, ref) ? "use_after_revoke"
+                                         : "unmap_unknown_ref",
                   strprintf("dom%u unmapped dom%u's ref %u", peer,
                             owner, ref));
         return;
     }
-    if (it->second.peer != peer) {
+    if (g->peer != peer) {
         violation(Subsystem::Grant, "unmap_wrong_domain",
                   strprintf("dom%u unmapped dom%u's ref %u issued to "
                             "dom%u",
-                            peer, owner, ref, it->second.peer));
+                            peer, owner, ref, g->peer));
         return;
     }
-    if (it->second.mapCount == 0) {
+    if (g->mapCount == 0) {
         violation(Subsystem::Grant, "unmap_without_map",
                   strprintf("dom%u unmapped dom%u's ref %u which has "
                             "no mapping",
                             peer, owner, ref));
         return;
     }
-    if (table_ok)
-        it->second.mapCount--;
+    if (table_ok && --g->mapCount == 0)
+        unindexMapping(owner, ref, *g);
 }
 
 void
 Checker::domainTeardown(u32 dom)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    std::vector<u64> dead;
-    for (auto &[key, g] : grants_) {
-        if (g.owner == dom) {
-            if (g.mapCount > 0)
-                violation(Subsystem::Grant, "mapping_outlives_domain",
-                          strprintf("dom%u tore down with ref %u still "
-                                    "mapped %u time(s) by dom%u",
-                                    dom, u32(key), g.mapCount, g.peer));
-            dead.push_back(key);
-        } else if (g.peer == dom && g.mapCount > 0) {
-            violation(Subsystem::Grant, "teardown_holding_mappings",
-                      strprintf("dom%u tore down holding %u mapping(s) "
-                                "of dom%u's ref %u",
-                                dom, g.mapCount, g.owner, u32(key)));
-            // The mapper is gone; the mappings die with it.
-            g.mapCount = 0;
-        }
+    auto it = doms_.find(dom);
+    if (it == doms_.end())
+        return;
+    DomainShadow &d = it->second;
+    for (const auto &[ref, g] : d.grants) {
+        if (g.mapCount == 0)
+            continue;
+        violation(Subsystem::Grant, "mapping_outlives_domain",
+                  strprintf("dom%u tore down with ref %u still mapped %u "
+                            "time(s) by dom%u",
+                            dom, ref, g.mapCount, g.peer));
+        // The grant dies here; so does the peer's record of mapping it.
+        unindexMapping(dom, ref, g);
     }
-    for (u64 key : dead)
-        grants_.erase(key);
-    for (auto it = revoked_.begin(); it != revoked_.end();) {
-        if (u32(*it >> 32) == dom)
-            it = revoked_.erase(it);
-        else
-            ++it;
+    for (u64 key : d.mapping) {
+        u32 owner = u32(key >> 32);
+        GrantShadow *g = findGrant(owner, u32(key));
+        if (!g)
+            continue; // unreachable: a dying owner unindexes its maps
+        violation(Subsystem::Grant, "teardown_holding_mappings",
+                  strprintf("dom%u tore down holding %u mapping(s) of "
+                            "dom%u's ref %u",
+                            dom, g->mapCount, owner, u32(key)));
+        // The mapper is gone; the mappings die with it.
+        g->mapCount = 0;
     }
+    doms_.erase(it);
 }
 
 std::size_t
@@ -215,9 +242,8 @@ Checker::shadowMappedGrants() const
 {
     std::lock_guard<std::mutex> lk(mu_);
     std::size_t n = 0;
-    for (const auto &[key, g] : grants_)
-        if (g.mapCount > 0)
-            n++;
+    for (const auto &[dom, d] : doms_)
+        n += d.mapping.size();
     return n;
 }
 

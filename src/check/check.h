@@ -182,9 +182,23 @@ class Checker
   private:
     struct GrantShadow
     {
-        u32 owner;
         u32 peer;
         u32 mapCount = 0;
+        u32 mapSlot = 0; //!< index in the peer's mapping (mapCount > 0)
+    };
+
+    /**
+     * One domain's grant shadow, so teardown touches only the dying
+     * domain's entries. A domain appears here once it creates or maps
+     * a grant; teardown erases it, so a reused domid starts clean.
+     */
+    struct DomainShadow
+    {
+        std::unordered_map<u32, GrantShadow> grants; //!< live, by ref
+        std::unordered_set<u32> revoked; //!< refs it revoked
+        //! grantKey of every peer grant it maps (mapCount > 0), in no
+        //! order; a grant's mapSlot names its entry
+        std::vector<u64> mapping;
     };
 
     struct RingShadow
@@ -208,6 +222,16 @@ class Checker
         return (u64(owner) << 32) | ref;
     }
 
+    /** The live shadow of @p owner's @p ref, or null. Caller holds mu_. */
+    GrantShadow *findGrant(u32 owner, u32 ref);
+    /** Whether @p owner revoked @p ref. Caller holds mu_. */
+    bool wasRevoked(u32 owner, u32 ref) const;
+    /**
+     * Drop @p owner's @p ref, whose shadow is @p g, from its peer's
+     * mapping list. Caller holds mu_.
+     */
+    void unindexMapping(u32 owner, u32 ref, const GrantShadow &g);
+
     bool enabled_ = false;
     Mode mode_;
     std::atomic<u64> total_{0};
@@ -220,8 +244,7 @@ class Checker
     // shard. violation() takes only last_mu_, so hooks may report
     // while holding mu_.
     mutable std::mutex mu_;
-    std::unordered_map<u64, GrantShadow> grants_;
-    std::unordered_set<u64> revoked_;
+    std::unordered_map<u32, DomainShadow> doms_;
     std::unordered_map<const void *, u32> ring_ids_;
     std::vector<RingShadow> rings_;
     std::unordered_map<const void *, HeapShadow> heaps_;

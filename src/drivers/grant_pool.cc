@@ -1,5 +1,9 @@
 #include "drivers/grant_pool.h"
 
+#include <algorithm>
+#include <bit>
+#include <utility>
+
 #include "base/logging.h"
 #include "hypervisor/domain.h"
 #include "sim/cost_model.h"
@@ -50,32 +54,33 @@ GrantPool::chargeReuse()
  * Borrow bookkeeping for a pooled page: every view acquirePage hands
  * out aliases this lease's control block, so the buffer itself carries
  * exactly one extra reference (keep) while any borrower view lives.
- * When the last borrower view drops, the lease dies and the pool's
- * recycle listeners fire — the signal a stalled rx ring waits for.
+ * When the last borrower view drops, the lease dies, the page becomes a
+ * candidate for acquirePage again and the pool's recycle listeners
+ * fire — the signal a stalled rx ring waits for.
  */
 struct GrantPool::Lease
 {
     Cstruct keep;                      //!< holds the page buffer alive
     std::shared_ptr<GrantPool *> pool; //!< liveness token (may be null)
+    std::size_t page;                  //!< index in pages_
 
     ~Lease()
     {
-        GrantPool *p = pool ? *pool : nullptr;
-        if (!p)
-            return; // page outlived the pool
-        // Copy: a listener may unsubscribe while we iterate.
-        auto listeners = p->listeners_;
-        for (auto &[token, fn] : listeners)
-            fn();
+        if (GrantPool *p = pool ? *pool : nullptr)
+            p->pageReturned(page);
+        // else the page outlived the pool
     }
 };
 
 Cstruct
-GrantPool::leased(const Cstruct &page)
+GrantPool::leased(std::size_t at)
 {
+    const Cstruct &page = pages_[at].page;
+    returned_[at / 64] &= ~(u64(1) << (at % 64));
     auto lease = std::make_shared<Lease>();
     lease->keep = page;
     lease->pool = alive_.lock();
+    lease->page = at;
     // Aliasing view: shares the lease's lifetime, points at the page's
     // buffer — page_index_ lookups by buffer identity still match.
     std::shared_ptr<Buffer> alias(std::move(lease),
@@ -83,19 +88,47 @@ GrantPool::leased(const Cstruct &page)
     return Cstruct(std::move(alias));
 }
 
+void
+GrantPool::pageReturned(std::size_t at)
+{
+    if (at < pages_.size()) // drain() may have emptied the pool
+        returned_[at / 64] |= u64(1) << (at % 64);
+    // A listener may unsubscribe (any listener, itself included) or
+    // subscribe while we iterate: removal only zeroes the token until
+    // the outermost loop ends, and the running closure is held in a
+    // local so growth cannot move it. Listeners added meanwhile wait
+    // for the next return.
+    firing_++;
+    for (std::size_t i = 0, n = listeners_.size(); i < n; i++) {
+        if (listeners_[i].token == 0 || !listeners_[i].fn)
+            continue; // removed, or running further up this stack
+        std::function<void()> fn = std::move(listeners_[i].fn);
+        fn();
+        if (listeners_[i].token != 0)
+            listeners_[i].fn = std::move(fn);
+    }
+    if (--firing_ == 0)
+        std::erase_if(listeners_,
+                      [](const Listener &l) { return l.token == 0; });
+}
+
 u64
 GrantPool::addRecycleListener(std::function<void()> fn)
 {
     u64 token = next_listener_++;
-    listeners_.emplace_back(token, std::move(fn));
+    listeners_.push_back(Listener{token, std::move(fn)});
     return token;
 }
 
 void
 GrantPool::removeRecycleListener(u64 token)
 {
-    std::erase_if(listeners_,
-                  [token](const auto &p) { return p.first == token; });
+    for (Listener &l : listeners_)
+        if (l.token == token)
+            l.token = 0;
+    if (firing_ == 0)
+        std::erase_if(listeners_,
+                      [](const Listener &l) { return l.token == 0; });
 }
 
 bool
@@ -111,20 +144,42 @@ GrantPool::pageFree(const PooledPage &p) const
     return p.page.buffer().use_count() == expected;
 }
 
+std::size_t
+GrantPool::nextReturned(std::size_t from, std::size_t to) const
+{
+    while (from < to) {
+        u64 word = returned_[from / 64] >> (from % 64);
+        if (word)
+            return std::min(to, from + std::size_t(std::countr_zero(word)));
+        from = (from / 64 + 1) * 64;
+    }
+    return to;
+}
+
 Result<Cstruct>
 GrantPool::acquirePage()
 {
     wireMetrics();
     if (!pages_.empty()) {
-        for (std::size_t i = 0; i < pages_.size(); i++) {
-            std::size_t at = (scan_hint_ + i) % pages_.size();
-            if (pageFree(pages_[at])) {
-                scan_hint_ = (at + 1) % pages_.size();
+        // Round robin from scan_hint_, testing only pages whose lease
+        // has died: a leased page holds an extra buffer reference, so
+        // it can never pass pageFree.
+        std::size_t n = pages_.size();
+        std::size_t start = scan_hint_ % n;
+        std::pair<std::size_t, std::size_t> spans[] = {{start, n},
+                                                       {0, start}};
+        for (auto [lo, hi] : spans) {
+            for (std::size_t at = nextReturned(lo, hi); at < hi;
+                 at = nextReturned(at + 1, hi)) {
+                if (!pageFree(pages_[at]))
+                    continue;
+                scan_hint_ = (at + 1) % n;
                 // The grant-op saving is counted at regionFor(), once
                 // per wire operation; here we only pay the pool scan.
-                boot_.domain().vcpu().charge(sim::costs().grantReuse, "grant.reuse",
-                                 trace::Cat::Hypervisor);
-                return leased(pages_[at].page);
+                boot_.domain().vcpu().charge(sim::costs().grantReuse,
+                                             "grant.reuse",
+                                             trace::Cat::Hypervisor);
+                return leased(at);
             }
         }
     }
@@ -143,7 +198,9 @@ GrantPool::acquirePage()
     trace::bump(c_issued_);
     page_index_.emplace(page.value().buffer().get(), pages_.size());
     pages_.push_back(PooledPage{page.value(), gref});
-    return leased(page.value());
+    if (returned_.size() * 64 < pages_.size())
+        returned_.push_back(0);
+    return leased(pages_.size() - 1);
 }
 
 GrantPool::Region
@@ -181,8 +238,10 @@ GrantPool::regionFor(const Cstruct &view)
                                  trace::Cat::Hypervisor);
     issued_++;
     trace::bump(c_issued_);
-    lru_.push_front(buf);
-    regions_.emplace(buf, Registered{whole, gref, lru_.begin()});
+    Registered &reg =
+        regions_.emplace(buf, Registered{whole, gref, {}}).first->second;
+    lru_.push_front(&reg);
+    reg.lru_it = lru_.begin();
     return Region{gref, view.bufferOffset(), true};
 }
 
@@ -193,31 +252,28 @@ GrantPool::evictRegistryIfNeeded()
     if (regions_.size() < cap)
         return;
     xen::GrantTable &gt = boot_.domain().grantTable();
-    // Walk from the cold end, revoking fully idle entries: no backend
-    // mapping (revoke-while-mapped is a checker violation) and no
-    // reference besides ours and the grant table's — an enqueued
-    // request the backend has not mapped yet still holds the fragment
-    // view, so in-flight buffers never qualify.
+    // Walk from the cold end, revoking fully idle entries: no reference
+    // besides ours and the grant table's — an enqueued request the
+    // backend has not mapped yet still holds the fragment view, so
+    // in-flight buffers never qualify — and no backend mapping
+    // (revoke-while-mapped is a checker violation). The reference count
+    // is one load and rejects most entries, so it goes first.
     for (auto it = lru_.end();
          it != lru_.begin() && regions_.size() >= cap;) {
         --it;
-        auto rit = regions_.find(*it);
-        if (rit == regions_.end()) {
-            it = lru_.erase(it);
+        Registered &reg = **it;
+        if (reg.whole.buffer().use_count() > 2)
             continue;
-        }
-        if (gt.mapCountOf(rit->second.gref) > 0)
+        if (gt.mapCountOf(reg.gref) > 0)
             continue;
-        if (rit->second.whole.buffer().use_count() > 2)
-            continue;
-        Status st = gt.endAccess(rit->second.gref);
+        Status st = gt.endAccess(reg.gref);
         if (!st.ok()) {
             warn("grant pool: evict endAccess: %s",
                  st.error().message.c_str());
             continue;
         }
-        regions_.erase(rit);
         it = lru_.erase(it);
+        regions_.erase(reg.whole.buffer().get());
     }
 }
 
@@ -262,6 +318,7 @@ GrantPool::drain()
                  st.error().message.c_str());
     }
     pages_.clear();
+    returned_.clear();
     page_index_.clear();
     regions_.clear();
     lru_.clear();

@@ -32,7 +32,6 @@
 #include <list>
 #include <memory>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "base/cstruct.h"
@@ -86,7 +85,10 @@ class GrantPool
      */
     u64 addRecycleListener(std::function<void()> fn);
 
-    /** Drop a listener. Safe for tokens already removed. */
+    /**
+     * Drop a listener. Safe for tokens already removed, and from inside
+     * a listener (the removed one is not called again).
+     */
     void removeRecycleListener(u64 token);
 
     /**
@@ -130,13 +132,24 @@ class GrantPool
     {
         Cstruct whole; //!< keeps the buffer alive while registered
         xen::GrantRef gref;
-        std::list<const Buffer *>::iterator lru_it;
+        std::list<Registered *>::iterator lru_it;
+    };
+
+    struct Listener
+    {
+        u64 token; //!< 0 once removed while listeners were running
+        std::function<void()> fn;
     };
 
     struct Lease;
 
     bool pageFree(const PooledPage &p) const;
-    Cstruct leased(const Cstruct &page);
+    /** A borrower view of pages_[@p at], riding a fresh lease. */
+    Cstruct leased(std::size_t at);
+    /** Lease death: mark the page a candidate, fire the listeners. */
+    void pageReturned(std::size_t at);
+    /** First page in [@p from, @p to) marked returned, else @p to. */
+    std::size_t nextReturned(std::size_t from, std::size_t to) const;
     void evictRegistryIfNeeded();
     void wireMetrics();
     void chargeReuse();
@@ -145,15 +158,19 @@ class GrantPool
     xen::DomId backend_;
     std::vector<PooledPage> pages_;
     std::size_t scan_hint_ = 0; //!< round-robin start of the free scan
+    //! Bit i: page i's lease died since it was last handed out. Only
+    //! these pages can be free, so acquirePage tests no others.
+    std::vector<u64> returned_;
     //! buffer identity → index in pages_ (regionFor on tier-A pages)
     std::unordered_map<const Buffer *, std::size_t> page_index_;
     std::unordered_map<const Buffer *, Registered> regions_;
-    std::list<const Buffer *> lru_; //!< front = most recently used
+    std::list<Registered *> lru_; //!< front = most recently used
     bool drained_ = false;
     u64 issued_ = 0;
     u64 reused_ = 0;
     u64 next_listener_ = 1;
-    std::vector<std::pair<u64, std::function<void()>>> listeners_;
+    std::vector<Listener> listeners_;
+    u32 firing_ = 0; //!< nesting depth of listener loops in progress
     trace::Counter *c_issued_ = nullptr;
     trace::Counter *c_reused_ = nullptr;
     //! Liveness token shared with the (unremovable) shutdown hook.

@@ -33,8 +33,8 @@ CBench::EmulatedSwitch::sendPacketIn()
     frame.setBe16(12, 0x0800);
     u16 in_port = u16(1 + (src % 48));
     outstanding++;
-    conn->write(openflow::buildPacketIn(next_xid++, next_xid, in_port,
-                                        0, frame));
+    u32 xid = next_xid++;
+    conn->write(openflow::buildPacketIn(xid, xid, in_port, 0, frame));
 }
 
 void

@@ -1,5 +1,7 @@
 #include "sim/engine.h"
 
+#include <algorithm>
+
 #include "sim/shard.h"
 
 #include "base/logging.h"
@@ -33,6 +35,27 @@ Engine::releaseSlot(u32 idx)
     free_slots_.push_back(idx);
 }
 
+void
+Engine::popHeap()
+{
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    heap_.pop_back();
+}
+
+void
+Engine::dropCancelledTop()
+{
+    u32 idx = heap_.front().slot;
+    popHeap();
+    // The closure dies on return, after its slot is free again: a
+    // destructor it runs may schedule, and reuses this slot first.
+    std::function<void()> fn = std::move(slots_[idx].fn);
+    releaseSlot(idx);
+    cancelled_count_--;
+    live_--;
+    trace::bump(c_cancelled_);
+}
+
 CrossKey
 Engine::nextKey()
 {
@@ -59,11 +82,14 @@ Engine::atKeyed(TimePoint t, const CrossKey &key, u64 flow, u32 pscope,
     }
     Slot &s = slots_[idx];
     s.state = SlotState::Pending;
-    EventId id = (u64(s.gen) << 32) | (idx + 1);
+    s.pscope = pscope;
+    s.hash = key.hash;
+    s.flow = flow;
+    s.fn = std::move(fn);
     live_++;
-    queue_.push(Item{t, key.strand, key.idx, key.hash, id, flow, pscope,
-                     std::move(fn)});
-    return id;
+    heap_.push_back(HeapKey{t, key.strand, key.idx, idx});
+    std::push_heap(heap_.begin(), heap_.end(), later);
+    return (u64(s.gen) << 32) | (idx + 1);
 }
 
 EventId
@@ -117,32 +143,35 @@ Engine::setMetrics(trace::MetricsRegistry *metrics)
 bool
 Engine::dispatchOne(bool bounded, TimePoint limit)
 {
-    while (!queue_.empty()) {
-        const Item &top = queue_.top();
-        u32 idx = u32(top.id & 0xffffffffu) - 1;
+    while (!heap_.empty()) {
+        const HeapKey &top = heap_.front();
+        u32 idx = top.slot;
         if (slots_[idx].state == SlotState::Cancelled) {
             // Reached the cancelled slot: drop all bookkeeping for it.
-            releaseSlot(idx);
-            cancelled_count_--;
-            live_--;
-            queue_.pop();
-            trace::bump(c_cancelled_);
+            dropCancelledTop();
             continue;
         }
         if (bounded && top.when > limit)
             return false;
-        Item item = queue_.top();
-        queue_.pop();
+        now_ = top.when;
+        popHeap();
+        Slot &s = slots_[idx];
+        // Moved out, not copied: the closure dies when this returns,
+        // after the callback and its restored context.
+        std::function<void()> fn = std::move(s.fn);
+        u64 hash = s.hash;
+        u64 flow = s.flow;
+        u32 pscope = s.pscope;
+        EventId id = (u64(s.gen) << 32) | (idx + 1);
         releaseSlot(idx);
         live_--;
-        now_ = item.when;
         events_run_++;
-        checksum_ += mixKey(u64(item.when.ns()), item.hash);
+        checksum_ += mixKey(u64(now_.ns()), hash);
         trace::bump(c_dispatched_);
         if (tracer_ && tracer_->enabled())
             tracer_->instant(trace::Cat::Engine, "dispatch", now_, 0,
                              strprintf("\"id\":%llu",
-                                       (unsigned long long)item.id));
+                                       (unsigned long long)id));
         {
             // Restore the scheduling context's flow and profiler scope
             // for the duration of the callback; anything it schedules
@@ -150,15 +179,15 @@ Engine::dispatchOne(bool bounded, TimePoint limit)
             // children order deterministically under (when, strand,
             // idx) whatever thread runs this. Both scopes are
             // null-safe.
-            trace::FlowScope scope(flows_, item.flow);
-            trace::ProfRestore pscope(profiler_, item.pscope);
+            trace::FlowScope scope(flows_, flow);
+            trace::ProfRestore prof(profiler_, pscope);
             Engine *prev_engine = current_;
             u64 prev_hash = cur_hash_;
             u64 prev_child = next_child_;
             current_ = this;
-            cur_hash_ = item.hash;
+            cur_hash_ = hash;
             next_child_ = 0;
-            item.fn();
+            fn();
             cur_hash_ = prev_hash;
             next_child_ = prev_child;
             current_ = prev_engine;
@@ -211,18 +240,12 @@ Engine::runWindow(TimePoint end)
 TimePoint
 Engine::nextEventTime()
 {
-    while (!queue_.empty()) {
-        const Item &top = queue_.top();
-        u32 idx = u32(top.id & 0xffffffffu) - 1;
-        if (slots_[idx].state == SlotState::Cancelled) {
-            releaseSlot(idx);
-            cancelled_count_--;
-            live_--;
-            queue_.pop();
-            trace::bump(c_cancelled_);
+    while (!heap_.empty()) {
+        if (slots_[heap_.front().slot].state == SlotState::Cancelled) {
+            dropCancelledTop();
             continue;
         }
-        return top.when;
+        return heap_.front().when;
     }
     return kNever;
 }

@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "base/time.h"
@@ -124,7 +123,7 @@ class Engine
     void cancel(EventId id);
 
     /** True when no events remain. */
-    bool empty() const { return queue_.size() == cancelled_count_; }
+    bool empty() const { return heap_.size() == cancelled_count_; }
 
     /**
      * Run the next pending event, advancing the clock to it.
@@ -232,33 +231,36 @@ class Engine
     trace::BootTracker *boots() const { return boots_; }
 
   private:
-    struct Item
+    /**
+     * Heap entry of one pending event: the causal ordering key and the
+     * slot holding everything else. A plain 32-byte value, so a heap
+     * sift moves four words and never a std::function.
+     */
+    struct HeapKey
     {
         TimePoint when;
         u64 strand; //!< identity hash of the scheduling event
         u64 idx;    //!< sibling index within that dispatch
-        u64 hash;   //!< this event's own identity (mixKey(strand, idx))
-        EventId id;
-        u64 flow;   //!< ambient FlowId captured at schedule time
-        u32 pscope; //!< ambient profiler scope captured alongside
-        std::function<void()> fn;
-
-        bool
-        operator>(const Item &o) const
-        {
-            if (when != o.when)
-                return when > o.when;
-            if (strand != o.strand)
-                return strand > o.strand;
-            return idx > o.idx;
-        }
+        u32 slot;   //!< index into slots_
     };
+    static_assert(sizeof(HeapKey) <= 32);
+
+    /** Heap comparator: a min-heap on (when, strand, idx). */
+    static bool
+    later(const HeapKey &a, const HeapKey &b)
+    {
+        if (a.when != b.when)
+            return a.when > b.when;
+        if (a.strand != b.strand)
+            return a.strand > b.strand;
+        return a.idx > b.idx;
+    }
 
     /**
      * Scheduling bookkeeping: one slot per live event, recycled through
-     * a free list. Replaces the previous pending_/cancelled_ hash sets —
-     * scheduling, cancelling and dispatching are now O(1) array
-     * operations instead of two hash lookups per event.
+     * a free list. Scheduling, cancelling and dispatching are O(1)
+     * array operations; the slot also carries the event's payload, so
+     * the heap itself holds only keys.
      */
     enum class SlotState : u8
     {
@@ -271,6 +273,10 @@ class Engine
     {
         u32 gen = 0;
         SlotState state = SlotState::Free;
+        u32 pscope = 0; //!< ambient profiler scope captured at schedule
+        u64 hash = 0;   //!< this event's identity (mixKey(strand, idx))
+        u64 flow = 0;   //!< ambient FlowId captured at schedule time
+        std::function<void()> fn;
     };
 
     /**
@@ -286,13 +292,17 @@ class Engine
     /** The slot an id names, or null for stale/invalid ids. */
     Slot *slotFor(EventId id);
     void releaseSlot(u32 idx);
+    /** Pop the heap's least key. */
+    void popHeap();
+    /** Pop a cancelled head and release its slot and closure. */
+    void dropCancelledTop();
 
     TimePoint now_;
     u64 cur_hash_ = 0;   //!< identity hash of the dispatching event (0 = root)
     u64 next_child_ = 0; //!< next sibling index in the current context
     u64 events_run_ = 0;
     u64 checksum_ = 0;
-    std::priority_queue<Item, std::vector<Item>, std::greater<Item>> queue_;
+    std::vector<HeapKey> heap_; //!< binary min-heap under later()
     std::vector<Slot> slots_;
     std::vector<u32> free_slots_;
     std::size_t live_ = 0;            //!< scheduled, not dispatched

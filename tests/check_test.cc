@@ -83,6 +83,110 @@ TEST_F(CheckedHvTest, GrantLeakAtTeardownCaught)
         << "teardown must drop the domain's shadow entries";
 }
 
+TEST_F(CheckedHvTest, PeerTeardownHoldingMappingsCaught)
+{
+    xen::Domain &a = hv.createDomain("a", xen::GuestKind::Unikernel, 32);
+    xen::Domain &b = hv.createDomain("b", xen::GuestKind::Unikernel, 32);
+    Cstruct page = Cstruct::create(mirage::pageSize);
+    xen::GrantRef ref = a.grantTable().grantAccess(b.id(), page, false);
+    ASSERT_TRUE(hv.grantMap(b, a, ref, false).ok());
+
+    // The mapping domain dies without unmapping.
+    b.shutdown(0);
+    EXPECT_EQ(ck.violations(Subsystem::Grant), 1u);
+    EXPECT_NE(ck.lastViolation().find("teardown_holding_mappings"),
+              std::string::npos)
+        << ck.lastViolation();
+    EXPECT_EQ(ck.shadowMappedGrants(), 0u)
+        << "the dead mapper's mappings die with it";
+
+    // The owner's later teardown finds nothing mapped to report.
+    a.shutdown(0);
+    EXPECT_EQ(ck.violations(Subsystem::Grant), 1u) << ck.lastViolation();
+}
+
+TEST_F(CheckedHvTest, MappingIndexFollowsUnmapAndTeardownOrder)
+{
+    // dom9 maps three grants from two owners; unmaps and an owner's
+    // death remove entries out of order, and dom9's own teardown must
+    // then report exactly the one mapping it still holds.
+    ck.grantCreated(1, 1, 9);
+    ck.grantCreated(1, 2, 9);
+    ck.grantCreated(2, 1, 9);
+    ck.grantCreated(2, 2, 9);
+    ck.grantMap(1, 1, 9, true);
+    ck.grantMap(1, 2, 9, true);
+    ck.grantMap(2, 1, 9, true);
+    ck.grantMap(2, 2, 9, true);
+    EXPECT_EQ(ck.shadowMappedGrants(), 4u);
+    ck.grantUnmap(1, 1, 9, true);
+    ck.grantUnmap(2, 2, 9, true);
+    EXPECT_EQ(ck.shadowMappedGrants(), 2u);
+    EXPECT_EQ(ck.violations(), 0u) << ck.lastViolation();
+
+    ck.domainTeardown(1); // still mapped: dom1's ref 2
+    EXPECT_EQ(ck.violations(Subsystem::Grant), 1u);
+    EXPECT_NE(ck.lastViolation().find("mapping_outlives_domain"),
+              std::string::npos)
+        << ck.lastViolation();
+    EXPECT_EQ(ck.shadowMappedGrants(), 1u);
+
+    ck.domainTeardown(9);
+    EXPECT_EQ(ck.violations(Subsystem::Grant), 2u);
+    EXPECT_NE(ck.lastViolation().find("of dom2's ref 1"), std::string::npos)
+        << ck.lastViolation();
+    EXPECT_EQ(ck.shadowMappedGrants(), 0u);
+    ck.grantEndAccess(2, 1, true); // the dead mapper's maps are gone
+    EXPECT_EQ(ck.violations(Subsystem::Grant), 2u) << ck.lastViolation();
+}
+
+TEST_F(CheckedHvTest, RevokeKindsStayDistinctPerOwner)
+{
+    ck.grantCreated(3, 1, 0);
+    ck.grantEndAccess(3, 1, true);
+    EXPECT_EQ(ck.violations(), 0u);
+
+    ck.grantEndAccess(3, 1, false);
+    EXPECT_NE(ck.lastViolation().find("double_revoke"), std::string::npos)
+        << ck.lastViolation();
+    ck.grantEndAccess(3, 2, false);
+    EXPECT_NE(ck.lastViolation().find("revoke_unknown_ref"),
+              std::string::npos)
+        << ck.lastViolation();
+    // The same ref number revoked by another owner is not this one's.
+    ck.grantEndAccess(4, 1, false);
+    EXPECT_NE(ck.lastViolation().find("revoke_unknown_ref"),
+              std::string::npos)
+        << ck.lastViolation();
+    EXPECT_EQ(ck.violations(Subsystem::Grant), 3u);
+}
+
+TEST_F(CheckedHvTest, ReusedDomidStartsWithCleanRevokedState)
+{
+    ck.grantCreated(7, 1, 0);
+    ck.grantEndAccess(7, 1, true);
+    ck.grantCreated(7, 2, 0);
+    ck.domainTeardown(7);
+    EXPECT_EQ(ck.violations(), 0u) << ck.lastViolation();
+
+    // A new domain with the same id knows neither ref.
+    ck.grantEndAccess(7, 1, false);
+    EXPECT_NE(ck.lastViolation().find("revoke_unknown_ref"),
+              std::string::npos)
+        << ck.lastViolation();
+    ck.grantMap(7, 1, 0, false);
+    EXPECT_NE(ck.lastViolation().find("map_unknown_ref"),
+              std::string::npos)
+        << ck.lastViolation();
+    ck.grantMap(7, 2, 0, false);
+    EXPECT_NE(ck.lastViolation().find("map_unknown_ref"),
+              std::string::npos)
+        << ck.lastViolation();
+    // Reissuing a ref the old domain held live is no reuse.
+    ck.grantCreated(7, 2, 0);
+    EXPECT_EQ(ck.violations(Subsystem::Grant), 3u) << ck.lastViolation();
+}
+
 // ---- Shared rings -----------------------------------------------------------
 
 TEST_F(CheckedHvTest, RingProducerScribbleCaught)

@@ -248,7 +248,7 @@ TEST(CloudTest, BootTimingViaToolstack)
     Cloud cloud;
     Duration total;
     cloud.toolstack().boot(
-        {"timed", xen::GuestKind::Unikernel, 128, 1, nullptr},
+        {"timed", xen::GuestKind::Unikernel, 128, 1, nullptr, {}},
         [&](xen::Domain &, xen::BootBreakdown b) { total = b.total(); });
     cloud.run();
     EXPECT_GT(total.ns(), 0);

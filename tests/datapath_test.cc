@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "base/rand.h"
 #include "check/check.h"
 #include "drivers/blkif.h"
 #include "drivers/netif.h"
@@ -98,6 +101,180 @@ TEST_F(DatapathTest, PoolReusesPagesAndFailsCleanlyAtCapacity)
     EXPECT_TRUE(region.persistent);
     EXPECT_EQ(region.offset, 128u);
     EXPECT_GT(pool.reused(), 0u);
+}
+
+TEST_F(DatapathTest, PoolAcquireMatchesFullRoundRobinScan)
+{
+    // Differential check of acquirePage against a full scan: from just
+    // after the page last handed out, round robin, the first page that
+    // passes bufferIsFree (the pool's own free predicate) wins; with
+    // none free the pool grows to its cap, then fails. Random borrows,
+    // drops and backend maps reach every page state, including pages
+    // whose lease died while a stale view still pins them.
+    constexpr std::size_t kCap = 16;
+    sim::tuning().frontendPoolPages = kCap;
+    xen::Domain &uk = hv.createDomain("uk", xen::GuestKind::Unikernel, 64);
+    pvboot::PVBoot boot(uk);
+    GrantPool pool(boot, dom0.id());
+
+    struct Page
+    {
+        const Buffer *buf;
+        xen::GrantRef gref;
+    };
+    std::vector<Page> pages; // in the pool's order
+    std::size_t hint = 0;
+    std::vector<Cstruct> borrowed;
+    std::vector<std::pair<xen::GrantRef, Cstruct>> maps;
+    std::vector<Cstruct> stale; // backend views kept past their unmap
+    Rng rng(7);
+    auto takeAny = [&rng](auto &v) {
+        std::size_t i = std::size_t(rng.below(v.size()));
+        auto out = std::move(v[i]);
+        v[i] = std::move(v.back());
+        v.pop_back();
+        return out;
+    };
+    std::size_t reused = 0, exhausted = 0;
+    for (int step = 0; step < 4000; step++) {
+        switch (rng.below(6)) {
+          case 0:
+          case 1: {
+            std::size_t n = pages.size(), expect = n;
+            for (std::size_t i = 0; i < n; i++) {
+                if (pool.bufferIsFree(pages[(hint + i) % n].buf)) {
+                    expect = (hint + i) % n;
+                    break;
+                }
+            }
+            Result<Cstruct> got = pool.acquirePage();
+            if (expect == n && n == kCap) {
+                ASSERT_FALSE(got.ok()) << "step " << step;
+                exhausted++;
+                break;
+            }
+            ASSERT_TRUE(got.ok()) << "step " << step;
+            const Buffer *buf = got.value().buffer().get();
+            if (expect == n) {
+                pages.push_back({buf, pool.regionFor(got.value()).gref});
+            } else {
+                ASSERT_EQ(buf, pages[expect].buf)
+                    << "step " << step << ": expected page " << expect;
+                hint = (expect + 1) % n;
+                reused++;
+            }
+            if (rng.below(3) != 0)
+                borrowed.push_back(got.value()); // else dropped at once
+            break;
+          }
+          case 2:
+            if (!borrowed.empty())
+                takeAny(borrowed);
+            break;
+          case 3:
+            if (!pages.empty()) {
+                xen::GrantRef gref = pages[rng.below(pages.size())].gref;
+                auto m = hv.grantMap(dom0, uk, gref, true);
+                ASSERT_TRUE(m.ok());
+                maps.emplace_back(gref, m.value());
+            }
+            break;
+          case 4:
+            if (!maps.empty()) {
+                auto [gref, view] = takeAny(maps);
+                ASSERT_TRUE(hv.grantUnmap(dom0, uk, gref).ok());
+                if (rng.below(2) == 0)
+                    stale.push_back(view);
+            }
+            break;
+          case 5:
+            if (!stale.empty())
+                takeAny(stale);
+            break;
+        }
+    }
+    EXPECT_EQ(pages.size(), kCap);
+    EXPECT_GT(reused, 500u);
+    EXPECT_GT(exhausted, 0u);
+    for (auto &[gref, view] : maps)
+        ASSERT_TRUE(hv.grantUnmap(dom0, uk, gref).ok());
+}
+
+TEST_F(DatapathTest, RegistryAtCapRefusesWhenBusyAndEvictsColdestIdle)
+{
+    sim::tuning().frontendRegistryCap = 4;
+    xen::Domain &uk = hv.createDomain("uk", xen::GuestKind::Unikernel, 64);
+    pvboot::PVBoot boot(uk);
+    GrantPool pool(boot, dom0.id());
+    xen::GrantTable &gt = uk.grantTable();
+    auto active = [&](xen::GrantRef ref) {
+        if (!gt.mapFor(dom0.id(), ref, false).ok())
+            return false;
+        EXPECT_TRUE(gt.unmapFor(dom0.id(), ref).ok());
+        return true;
+    };
+
+    // Register A, B, C, D (D most recent); the app keeps every buffer.
+    std::vector<Cstruct> apps;
+    std::vector<xen::GrantRef> refs;
+    for (int i = 0; i < 4; i++) {
+        apps.push_back(Cstruct::create(8192));
+        GrantPool::Region r = pool.regionFor(apps.back().sub(100, 50));
+        ASSERT_TRUE(r.persistent);
+        refs.push_back(r.gref);
+    }
+    Cstruct e = Cstruct::create(8192);
+    EXPECT_FALSE(pool.regionFor(e).persistent)
+        << "every entry busy: refuse rather than revoke";
+    EXPECT_EQ(pool.registeredBuffers(), 4u);
+    EXPECT_EQ(pool.issued(), 4u);
+
+    // One idle entry (C): the new buffer takes its place.
+    apps[2] = Cstruct();
+    EXPECT_TRUE(pool.regionFor(e).persistent);
+    EXPECT_EQ(pool.registeredBuffers(), 4u);
+    EXPECT_FALSE(active(refs[2]));
+    EXPECT_TRUE(active(refs[0]));
+    EXPECT_TRUE(active(refs[1]));
+    EXPECT_TRUE(active(refs[3]));
+
+    // Two idle entries (A coldest, then D): only A goes.
+    apps[0] = Cstruct();
+    apps[3] = Cstruct();
+    EXPECT_TRUE(pool.regionFor(Cstruct::create(8192)).persistent);
+    EXPECT_EQ(pool.registeredBuffers(), 4u);
+    EXPECT_FALSE(active(refs[0]));
+    EXPECT_TRUE(active(refs[1]));
+    EXPECT_TRUE(active(refs[3]));
+}
+
+TEST_F(DatapathTest, RecycleListenersMayUnsubscribeWhileFiring)
+{
+    xen::Domain &uk = hv.createDomain("uk", xen::GuestKind::Unikernel, 64);
+    pvboot::PVBoot boot(uk);
+    GrantPool pool(boot, dom0.id());
+    auto returnPage = [&] { (void)pool.acquirePage().value(); };
+
+    int self_calls = 0, victim_calls = 0, late_calls = 0;
+    u64 self = 0, victim = 0;
+    self = pool.addRecycleListener([&] {
+        self_calls++;
+        pool.removeRecycleListener(self);
+        pool.removeRecycleListener(victim);
+        // Subscribing while firing may grow the list under the loop.
+        for (int i = 0; i < 16; i++)
+            pool.addRecycleListener([&] { late_calls++; });
+    });
+    victim = pool.addRecycleListener([&] { victim_calls++; });
+
+    returnPage();
+    EXPECT_EQ(self_calls, 1);
+    EXPECT_EQ(victim_calls, 0) << "removed before its turn came";
+    EXPECT_EQ(late_calls, 0) << "added during this round";
+    returnPage();
+    EXPECT_EQ(self_calls, 1) << "removed from inside its own callback";
+    EXPECT_EQ(victim_calls, 0);
+    EXPECT_EQ(late_calls, 16);
 }
 
 TEST_F(DatapathTest, TrafficFallsBackToOneShotGrantsWithoutPool)

@@ -174,7 +174,7 @@ TEST(BootTrackerTest, ToolstackBootDecomposesIntoPhases)
     engine.setBoots(&boots);
     xen::Hypervisor hv(engine);
     xen::Toolstack ts(hv, xen::Toolstack::Mode::Synchronous);
-    ts.boot({"uk", xen::GuestKind::Unikernel, 128, 1, nullptr},
+    ts.boot({"uk", xen::GuestKind::Unikernel, 128, 1, nullptr, {}},
             [](xen::Domain &, xen::BootBreakdown) {});
     engine.run();
 
@@ -225,7 +225,7 @@ TEST(BootTrackerTest, LinuxModelBootsReportCoarsePhases)
     engine.setBoots(&boots);
     xen::Hypervisor hv(engine);
     xen::Toolstack ts(hv, xen::Toolstack::Mode::Synchronous);
-    ts.boot({"deb", xen::GuestKind::LinuxDebianApache, 256, 1, nullptr},
+    ts.boot({"deb", xen::GuestKind::LinuxDebianApache, 256, 1, nullptr, {}},
             [](xen::Domain &, xen::BootBreakdown) {});
     engine.run();
     ASSERT_EQ(boots.records().size(), 1u);

@@ -433,10 +433,10 @@ TEST_F(BootTest, UnikernelBootsFasterThanDebianApache)
 {
     Toolstack ts(hv, Toolstack::Mode::Synchronous);
     Duration uk_total, apache_total;
-    ts.boot({"uk", GuestKind::Unikernel, 256, 1, nullptr},
+    ts.boot({"uk", GuestKind::Unikernel, 256, 1, nullptr, {}},
             [&](Domain &, BootBreakdown b) { uk_total = b.total(); });
     engine.run();
-    ts.boot({"la", GuestKind::LinuxDebianApache, 256, 1, nullptr},
+    ts.boot({"la", GuestKind::LinuxDebianApache, 256, 1, nullptr, {}},
             [&](Domain &, BootBreakdown b) { apache_total = b.total(); });
     engine.run();
     // Fig 5: Mirage boots in under half the Debian+Apache time.
@@ -460,7 +460,7 @@ TEST_F(BootTest, ParallelToolstackUnder50ms)
     // Fig 6: with the async toolstack, Mirage starts in < 50 ms.
     Toolstack ts(hv, Toolstack::Mode::Parallel);
     Duration startup;
-    ts.boot({"uk", GuestKind::Unikernel, 128, 1, nullptr},
+    ts.boot({"uk", GuestKind::Unikernel, 128, 1, nullptr, {}},
             [&](Domain &, BootBreakdown b) { startup = b.guestInit; });
     engine.run();
     EXPECT_LT(startup.ns(), Duration::millis(50).ns());
@@ -474,7 +474,7 @@ TEST_F(BootTest, SynchronousToolstackSerialisesBuilds)
     Toolstack ts(hv, Toolstack::Mode::Synchronous);
     std::vector<i64> ready;
     for (int i = 0; i < 3; i++) {
-        ts.boot({"uk", GuestKind::Unikernel, 64, 1, nullptr},
+        ts.boot({"uk", GuestKind::Unikernel, 64, 1, nullptr, {}},
                 [&](Domain &, BootBreakdown) {
                     ready.push_back(engine.now().ns());
                 });

@@ -137,9 +137,10 @@ TEST(ExtentTest, GrowsContiguously)
     for (int i = 0; i < 4; i++) {
         auto vpn = ext.growSuperpage();
         ASSERT_TRUE(vpn.ok());
-        if (i > 0)
+        if (i > 0) {
             EXPECT_EQ(vpn.value(), prev + superpageSize / pageSize)
                 << "extents must be contiguous";
+        }
         prev = vpn.value();
     }
     EXPECT_FALSE(ext.growSuperpage().ok()) << "reservation exhausted";

@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <compare>
+#include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "base/rand.h"
 #include "sim/cost_model.h"
 #include "sim/cpu.h"
 #include "sim/engine.h"
@@ -114,6 +119,152 @@ TEST(EngineTest, CancelledSlotsAreReclaimedOnDispatch)
     EXPECT_FALSE(ran);
     EXPECT_EQ(e.cancelledBacklog(), 0u);
     EXPECT_EQ(e.pendingEvents(), 0u);
+}
+
+/**
+ * Reference model of the engine's ordering. Each scheduled event gets
+ * the causal key the engine documents: root schedules take strand 0 and
+ * a running root index; the children of a dispatching event take its
+ * identity hash mixKey(strand, idx) and an index within that dispatch.
+ * Whenever an event runs, it must hold the least pending key.
+ */
+class OrderModel
+{
+  public:
+    struct Key
+    {
+        i64 when;
+        u64 strand;
+        u64 idx;
+        auto operator<=>(const Key &) const = default;
+    };
+
+    OrderModel(Engine &e, u64 seed, std::size_t budget)
+        : e_(e), rng_(seed), budget_(budget)
+    {
+    }
+
+    void
+    schedule(i64 delay)
+    {
+        Key k{e_.now().ns() + delay, 0, 0};
+        if (running_) {
+            k.strand = cur_hash_;
+            k.idx = next_child_++;
+        } else {
+            k.idx = next_root_++;
+        }
+        std::size_t n = keys_.size();
+        keys_.push_back(k);
+        pending_.emplace(k, n);
+        ids_.push_back(e_.at(TimePoint(k.when), [this, n] { run(n); }));
+    }
+
+    /** Cancel a random pending event, or a random fired one (no-op). */
+    void
+    cancelSome()
+    {
+        std::size_t n = std::size_t(rng_.below(keys_.size()));
+        e_.cancel(ids_[n]);
+        pending_.erase({keys_[n], n});
+    }
+
+    /** Many ties: most delays are 0 or one of two short steps. */
+    i64
+    delay()
+    {
+        static constexpr i64 kDelays[] = {0, 0, 0, 1000, 1000, 5000};
+        return kDelays[rng_.below(6)];
+    }
+
+    std::size_t out_of_order = 0;
+    std::size_t dispatched = 0;
+    u64 checksum = 0;
+
+  private:
+    void
+    run(std::size_t n)
+    {
+        if (pending_.empty() || pending_.begin()->second != n)
+            out_of_order++;
+        pending_.erase({keys_[n], n});
+        dispatched++;
+        const Key &k = keys_[n];
+        cur_hash_ = mixKey(k.strand, k.idx);
+        checksum += mixKey(u64(k.when), cur_hash_);
+        next_child_ = 0;
+        running_ = true;
+        std::size_t children = keys_.size() < budget_ ? rng_.below(4) : 0;
+        for (std::size_t c = 0; c < children; c++) {
+            schedule(delay());
+            if (rng_.below(5) == 0)
+                cancelSome();
+        }
+        running_ = false;
+    }
+
+    Engine &e_;
+    Rng rng_;
+    std::size_t budget_;
+    std::vector<Key> keys_;
+    std::vector<EventId> ids_;
+    std::set<std::pair<Key, std::size_t>> pending_;
+    bool running_ = false;
+    u64 cur_hash_ = 0;
+    u64 next_child_ = 0;
+    u64 next_root_ = 0;
+};
+
+TEST(EngineTest, RandomScheduleMatchesReferenceOrder)
+{
+    Engine e;
+    OrderModel model(e, 42, 20'000);
+    for (int i = 0; i < 64; i++)
+        model.schedule(1000 * (1 + i % 3));
+    for (int i = 0; i < 8; i++)
+        model.cancelSome();
+    e.run();
+    EXPECT_GT(model.dispatched, 10'000u);
+    EXPECT_EQ(model.out_of_order, 0u);
+    EXPECT_EQ(e.eventsRun(), model.dispatched);
+    EXPECT_EQ(e.dispatchChecksum(), model.checksum);
+    // Pinned: any engine change must dispatch the same events at the
+    // same times for this seed.
+    EXPECT_EQ(e.dispatchChecksum(), 0x026fcf5c7a8c5031ull);
+    EXPECT_EQ(e.pendingEvents(), 0u);
+    EXPECT_EQ(e.cancelledBacklog(), 0u);
+}
+
+TEST(EngineTest, ClosureReleasedRightAfterDispatch)
+{
+    Engine e;
+    auto held = std::make_shared<int>(0);
+    std::weak_ptr<int> watch = held;
+    e.after(Duration::millis(1), [held] { (*held)++; });
+    bool released_before_next = false;
+    e.after(Duration::millis(2),
+            [&] { released_before_next = watch.expired(); });
+    held.reset();
+    EXPECT_FALSE(watch.expired()) << "the pending closure owns it";
+    ASSERT_TRUE(e.step());
+    EXPECT_TRUE(watch.expired()) << "dispatch must not keep a copy";
+    e.run();
+    EXPECT_TRUE(released_before_next);
+}
+
+TEST(EngineTest, CancelledClosureReleasedWhenDropped)
+{
+    Engine e;
+    auto held = std::make_shared<int>(0);
+    std::weak_ptr<int> watch = held;
+    EventId id = e.after(Duration::millis(1), [held] { (*held)++; });
+    e.after(Duration::millis(2), [] {});
+    held.reset();
+    e.cancel(id);
+    EXPECT_FALSE(watch.expired()) << "dropped lazily, at the heap head";
+    EXPECT_EQ(e.nextEventTime().ns(), Duration::millis(2).ns());
+    EXPECT_TRUE(watch.expired()) << "dropping the head frees the closure";
+    EXPECT_EQ(e.cancelledBacklog(), 0u);
 }
 
 TEST(CpuTest, SerialisesWork)
