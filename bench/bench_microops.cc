@@ -140,6 +140,47 @@ BM_EngineScheduleCancel(benchmark::State &state)
 }
 
 void
+BM_EngineNearOverFarBacklog(benchmark::State &state)
+{
+    // A busy appliance's queue: a 1 us poll chain re-arming itself over
+    // ~10k protocol timers (RTO, delayed ACK, TIME_WAIT) one to two
+    // seconds out, each re-arming when it fires so the backlog stays.
+    // In one heap every chain step sifts past the timers; in the near
+    // heap it sifts past a handful of keys.
+    struct Timer
+    {
+        sim::Engine &engine;
+        Rng &rng;
+        void
+        operator()() const
+        {
+            i64 ns = i64(1'000'000'000 + rng.below(1'000'000'000));
+            engine.after(Duration::nanos(ns), *this);
+        }
+    };
+    struct Poll
+    {
+        sim::Engine &engine;
+        u64 &rounds;
+        void
+        operator()() const
+        {
+            rounds++;
+            engine.after(Duration::micros(1), *this);
+        }
+    };
+    sim::Engine engine;
+    Rng rng(1);
+    u64 rounds = 0;
+    for (int i = 0; i < 10'000; i++)
+        Timer{engine, rng}();
+    engine.after(Duration::micros(1), Poll{engine, rounds});
+    for (auto _ : state)
+        engine.step();
+    benchmark::DoNotOptimize(rounds);
+}
+
+void
 BM_GrantPoolAcquire(benchmark::State &state)
 {
     // A 64-page pool with 63 pages borrowed (posted rx buffers, tx
@@ -423,6 +464,7 @@ BENCHMARK(BM_SharedRingRoundTrip);
 BENCHMARK(BM_EngineScheduleDispatch);
 BENCHMARK(BM_EngineScheduleDispatchDeep);
 BENCHMARK(BM_EngineScheduleCancel);
+BENCHMARK(BM_EngineNearOverFarBacklog);
 BENCHMARK(BM_GrantPoolAcquire);
 BENCHMARK(BM_CheckerDomainTeardown)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_TcpHeaderBuildParse);

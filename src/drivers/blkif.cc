@@ -40,7 +40,13 @@ Blkif::Blkif(pvboot::PVBoot &boot, xen::Blkback &backend)
         onEvent();
     });
     poller_ = std::make_unique<sim::Poller>(
-        dom.engine(), [this] { return drainResponses(true); },
+        dom.engine(),
+        [this] {
+            // Idle round: rsp_event is already parked at this index.
+            if (ring_->unconsumedResponses() == 0 && wait_queue_.empty())
+                return false;
+            return drainResponses(true);
+        },
         [this] { return ring_->finalCheckForResponses(); });
     backend.connect(dom, ring_grant, back_port);
 

@@ -232,8 +232,9 @@ GrantPool::regionFor(const Cstruct &view)
             return Region{};
     }
     Cstruct whole(view.buffer());
-    xen::GrantRef gref =
-        boot_.domain().grantTable().grantAccess(backend_, whole, false);
+    xen::GrantTable &gt = boot_.domain().grantTable();
+    xen::GrantRef gref = gt.grantAccess(backend_, whole, false);
+    gt.markRegistry(gref);
     boot_.domain().vcpu().charge(sim::costs().grantIssue, "grant.issue",
                                  trace::Cat::Hypervisor);
     issued_++;
@@ -252,6 +253,11 @@ GrantPool::evictRegistryIfNeeded()
     if (regions_.size() < cap)
         return;
     xen::GrantTable &gt = boot_.domain().grantTable();
+    // A mapped grant is never evicted; with no unmapped registry grant
+    // in this domain's table the walk below could not free a thing.
+    if (gt.idleRegistryGrants() == 0)
+        return;
+    registry_walks_++;
     // Walk from the cold end, revoking fully idle entries: no reference
     // besides ours and the grant table's — an enqueued request the
     // backend has not mapped yet still holds the fragment view, so

@@ -111,6 +111,9 @@ class GrantPool
     u64 reused() const { return reused_; }
     std::size_t pooledPages() const { return pages_.size(); }
     std::size_t registeredBuffers() const { return regions_.size(); }
+    /** Eviction walks of a full registry (none while every registry
+     *  grant of the domain is mapped: nothing could be evicted). */
+    u64 registryWalks() const { return registry_walks_; }
     /** Free tier-A pages right now (lazy refcount scan). */
     std::size_t freePages() const;
 
@@ -168,6 +171,7 @@ class GrantPool
     bool drained_ = false;
     u64 issued_ = 0;
     u64 reused_ = 0;
+    u64 registry_walks_ = 0;
     u64 next_listener_ = 1;
     std::vector<Listener> listeners_;
     u32 firing_ = 0; //!< nesting depth of listener loops in progress

@@ -74,6 +74,12 @@ Netif::Netif(pvboot::PVBoot &boot, xen::Netback &backend,
     poller_ = std::make_unique<sim::Poller>(
         dom.engine(),
         [this] {
+            // Idle round: both events are already parked at these
+            // consumer indices, so a drain would only re-write them.
+            if (tx_ring_->unconsumedResponses() == 0 &&
+                rx_ring_->unconsumedResponses() == 0 &&
+                tx_wait_queue_.empty())
+                return false;
             bool tx = drainTxResponses(true);
             bool rx = drainRxResponses(true);
             return tx || rx;

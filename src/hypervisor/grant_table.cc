@@ -56,6 +56,8 @@ GrantTable::endAccess(GrantRef ref)
     }
     if (ck)
         ck->grantEndAccess(owner_, ref, true);
+    if (it->second.registry)
+        idle_registry_--;
     entries_.erase(it);
     return Status::success();
 }
@@ -79,7 +81,8 @@ GrantTable::mapFor(DomId peer, GrantRef ref, bool write)
                               ? "grant not issued to this domain"
                               : "write map of read-only grant");
     }
-    e.mapCount++;
+    if (e.mapCount++ == 0 && e.registry)
+        idle_registry_--;
     if (ck)
         ck->grantMap(owner_, ref, peer, true);
     return e.page;
@@ -107,10 +110,22 @@ GrantTable::unmapFor(DomId peer, GrantRef ref)
             ck->grantUnmap(owner_, ref, peer, false);
         return stateError("unmap of unmapped grant");
     }
-    e.mapCount--;
+    if (--e.mapCount == 0 && e.registry)
+        idle_registry_++;
     if (ck)
         ck->grantUnmap(owner_, ref, peer, true);
     return Status::success();
+}
+
+void
+GrantTable::markRegistry(GrantRef ref)
+{
+    auto it = entries_.find(ref);
+    if (it == entries_.end() || it->second.registry)
+        return;
+    it->second.registry = true;
+    if (it->second.mapCount == 0)
+        idle_registry_++;
 }
 
 u32

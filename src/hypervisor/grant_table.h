@@ -72,12 +72,28 @@ class GrantTable
     u32 mapCountOf(GrantRef ref) const;
 
     /**
+     * Mark @p ref as a registry grant (drivers::GrantPool's registered
+     * buffers). The table counts marked grants its peer has no mapping
+     * of; only those can be evicted from the registry, so the pool's
+     * eviction walk returns at once while the count is 0.
+     */
+    void markRegistry(GrantRef ref);
+
+    /** Registry-marked grants whose map count is 0. */
+    std::size_t idleRegistryGrants() const { return idle_registry_; }
+
+    /**
      * Drop every entry, releasing the page views they hold. Called at
      * domain teardown (after the checker's leak audit): entries keep
      * guest pages alive, and their deleters live in the guest, so they
      * must not outlive it.
      */
-    void releaseAll() { entries_.clear(); }
+    void
+    releaseAll()
+    {
+        entries_.clear();
+        idle_registry_ = 0;
+    }
 
     /**
      * Bind the engine whose checker (if any, and enabled) audits this
@@ -99,12 +115,16 @@ class GrantTable
         Cstruct page;
         bool readonly;
         u32 mapCount = 0;
+        bool registry = false; //!< markRegistry()
     };
 
     DomId owner_;
     GrantRef next_ref_ = 1;
     const sim::Engine *engine_ = nullptr;
     std::unordered_map<GrantRef, Entry> entries_;
+    //! Registry-marked entries with mapCount 0, kept at every 0<->1
+    //! map-count move, endAccess and releaseAll.
+    std::size_t idle_registry_ = 0;
     u64 ops_ = 0;
     trace::Counter *c_ops_ = nullptr; //!< global `gnttab.ops`
 };

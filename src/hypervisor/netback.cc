@@ -213,7 +213,12 @@ Netback::Vif::Vif(Netback &owner, const NetConnectInfo &info)
                                               rx_port_);
     tx_poller_ = std::make_unique<sim::Poller>(
         owner_.dom_.engine(),
-        [this] { return tx_ring_ ? drainTx(true) : false; },
+        [this] {
+            // Idle round: req_event is already parked at this index.
+            if (!tx_ring_ || tx_ring_->unconsumedRequests() == 0)
+                return false;
+            return drainTx(true);
+        },
         [this] {
             return tx_ring_ && tx_ring_->finalCheckForRequests();
         });

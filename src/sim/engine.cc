@@ -12,8 +12,6 @@
 
 namespace mirage::sim {
 
-thread_local Engine *Engine::current_ = nullptr;
-
 Engine::Slot *
 Engine::slotFor(EventId id)
 {
@@ -35,18 +33,28 @@ Engine::releaseSlot(u32 idx)
     free_slots_.push_back(idx);
 }
 
-void
-Engine::popHeap()
+std::vector<Engine::HeapKey> *
+Engine::headHeap()
 {
-    std::pop_heap(heap_.begin(), heap_.end(), later);
-    heap_.pop_back();
+    if (near_.empty())
+        return far_.empty() ? nullptr : &far_;
+    if (far_.empty() || later(far_.front(), near_.front()))
+        return &near_;
+    return &far_;
 }
 
 void
-Engine::dropCancelledTop()
+Engine::popHeap(std::vector<HeapKey> &heap)
 {
-    u32 idx = heap_.front().slot;
-    popHeap();
+    std::pop_heap(heap.begin(), heap.end(), later);
+    heap.pop_back();
+}
+
+void
+Engine::dropCancelledTop(std::vector<HeapKey> &heap)
+{
+    u32 idx = heap.front().slot;
+    popHeap(heap);
     // The closure dies on return, after its slot is free again: a
     // destructor it runs may schedule, and reuses this slot first.
     std::function<void()> fn = std::move(slots_[idx].fn);
@@ -87,8 +95,12 @@ Engine::atKeyed(TimePoint t, const CrossKey &key, u64 flow, u32 pscope,
     s.flow = flow;
     s.fn = std::move(fn);
     live_++;
-    heap_.push_back(HeapKey{t, key.strand, key.idx, idx});
-    std::push_heap(heap_.begin(), heap_.end(), later);
+    // Which heap only decides where the key sifts; dispatch merges the
+    // two heads under the same order.
+    std::vector<HeapKey> &heap =
+        t - now_ <= kNearHorizon ? near_ : far_;
+    heap.push_back(HeapKey{t, key.strand, key.idx, idx});
+    std::push_heap(heap.begin(), heap.end(), later);
     return (u64(s.gen) << 32) | (idx + 1);
 }
 
@@ -143,18 +155,18 @@ Engine::setMetrics(trace::MetricsRegistry *metrics)
 bool
 Engine::dispatchOne(bool bounded, TimePoint limit)
 {
-    while (!heap_.empty()) {
-        const HeapKey &top = heap_.front();
+    while (std::vector<HeapKey> *heap = headHeap()) {
+        const HeapKey &top = heap->front();
         u32 idx = top.slot;
         if (slots_[idx].state == SlotState::Cancelled) {
             // Reached the cancelled slot: drop all bookkeeping for it.
-            dropCancelledTop();
+            dropCancelledTop(*heap);
             continue;
         }
         if (bounded && top.when > limit)
             return false;
         now_ = top.when;
-        popHeap();
+        popHeap(*heap);
         Slot &s = slots_[idx];
         // Moved out, not copied: the closure dies when this returns,
         // after the callback and its restored context.
@@ -240,12 +252,12 @@ Engine::runWindow(TimePoint end)
 TimePoint
 Engine::nextEventTime()
 {
-    while (!heap_.empty()) {
-        if (slots_[heap_.front().slot].state == SlotState::Cancelled) {
-            dropCancelledTop();
+    while (std::vector<HeapKey> *heap = headHeap()) {
+        if (slots_[heap->front().slot].state == SlotState::Cancelled) {
+            dropCancelledTop(*heap);
             continue;
         }
-        return heap_.front().when;
+        return heap->front().when;
     }
     return kNever;
 }

@@ -14,6 +14,19 @@
  * thread scheduled the event. A run is a pure function of its seed,
  * bit-identical at any shard count (see sim/shard.h).
  *
+ * The pending keys live in two binary heaps under that one order: a
+ * *near* heap for events due within kNearHorizon of the moment they
+ * are scheduled (ring polls, vCPU and bridge hops) and a *far* heap for
+ * everything later (protocol timers: RTO, delayed ACK, ARP, TIME_WAIT).
+ * Dispatch takes whichever head is least, so the dispatch sequence is
+ * exactly that of one heap over the union — the split only decides
+ * which heap a key sifts through. A busy appliance re-arms its 1 us
+ * poll rounds thousands of times per timer, and those now sift through
+ * a handful of near keys instead of the whole timer backlog with its
+ * cancelled RTO tombstones. The order itself cannot change: event ids,
+ * slot reuse, the moment a cancelled closure dies and every virtual
+ * result are pinned by the determinism tests and the repo benchmark.
+ *
  * The engine is also the attachment point for the observability layer:
  * an optional trace::TraceRecorder and trace::MetricsRegistry hang off
  * it, and every subsystem with engine access shares them. Both default
@@ -85,6 +98,15 @@ class Engine
     /** Sentinel "no pending event" time (nextEventTime()). */
     static constexpr TimePoint kNever{INT64_MAX};
 
+    /**
+     * Events due at most this far after now() when scheduled go to the
+     * near heap, later ones to the far heap. A fixed constant, not a
+     * tuning knob: it only places keys, never reorders them. 50 us
+     * covers the 1 us poll rounds and the 4-16 us vCPU and bridge hops;
+     * every protocol timer is at least 130 us away.
+     */
+    static constexpr Duration kNearHorizon = Duration::micros(50);
+
     Engine() = default;
 
     /** Current virtual time. */
@@ -123,7 +145,11 @@ class Engine
     void cancel(EventId id);
 
     /** True when no events remain. */
-    bool empty() const { return heap_.size() == cancelled_count_; }
+    bool
+    empty() const
+    {
+        return near_.size() + far_.size() == cancelled_count_;
+    }
 
     /**
      * Run the next pending event, advancing the clock to it.
@@ -292,17 +318,21 @@ class Engine
     /** The slot an id names, or null for stale/invalid ids. */
     Slot *slotFor(EventId id);
     void releaseSlot(u32 idx);
-    /** Pop the heap's least key. */
-    void popHeap();
-    /** Pop a cancelled head and release its slot and closure. */
-    void dropCancelledTop();
+    /** The heap holding the least pending key, or null when both are
+     *  empty. */
+    std::vector<HeapKey> *headHeap();
+    /** Pop @p heap's least key. */
+    static void popHeap(std::vector<HeapKey> &heap);
+    /** Pop @p heap's cancelled head and release its slot and closure. */
+    void dropCancelledTop(std::vector<HeapKey> &heap);
 
     TimePoint now_;
     u64 cur_hash_ = 0;   //!< identity hash of the dispatching event (0 = root)
     u64 next_child_ = 0; //!< next sibling index in the current context
     u64 events_run_ = 0;
     u64 checksum_ = 0;
-    std::vector<HeapKey> heap_; //!< binary min-heap under later()
+    std::vector<HeapKey> near_; //!< min-heap under later(), due soon
+    std::vector<HeapKey> far_;  //!< min-heap under later(), the rest
     std::vector<Slot> slots_;
     std::vector<u32> free_slots_;
     std::size_t live_ = 0;            //!< scheduled, not dispatched
@@ -317,7 +347,7 @@ class Engine
     trace::Counter *c_dispatched_ = nullptr;
     trace::Counter *c_cancelled_ = nullptr;
 
-    static thread_local Engine *current_;
+    static inline thread_local Engine *current_ = nullptr;
 };
 
 } // namespace mirage::sim

@@ -17,6 +17,16 @@
  * that also kick() the poller (or, like blkback, have another
  * guaranteed future drain). Parked events with no scheduled poll would
  * deadlock the ring.
+ *
+ * Idle-round invariant: whenever a poll is scheduled, the owner's
+ * events are already parked at its current consumer indices — every
+ * drain ends by parking, only a drain moves a consumer index, and the
+ * rearm path drains again before it reschedules. So a round that finds
+ * every ring empty and nothing queued has nothing to do: drain may
+ * return false at once, skipping its profiler scope, ring accounting
+ * and the re-park, which would store the value already there. Most
+ * rounds of a busy appliance are such rounds; they still run (and
+ * count as events), they just cost one load per ring.
  */
 
 #ifndef MIRAGE_SIM_POLLER_H

@@ -6,8 +6,6 @@
 
 namespace mirage::trace {
 
-thread_local BootId BootTracker::current_tls_ = 0;
-
 BootTracker::Record *
 BootTracker::findMutable(BootId id)
 {

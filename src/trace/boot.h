@@ -197,7 +197,7 @@ class BootTracker
     HdrHistogram total_hist_;
     HdrHistogram first_request_hist_;
 
-    static thread_local BootId current_tls_;
+    static inline thread_local BootId current_tls_ = 0;
 };
 
 /** RAII save/restore of the ambient boot id (mirrors FlowScope). */

@@ -6,8 +6,6 @@
 
 namespace mirage::trace {
 
-thread_local FlowId FlowTracker::current_tls_ = 0;
-
 FlowTracker::Flow *
 FlowTracker::find(FlowId id)
 {

@@ -213,7 +213,7 @@ class FlowTracker
     std::function<void()> activity_hook_;
     std::function<void(const Flow &)> finalize_hook_;
 
-    static thread_local FlowId current_tls_;
+    static inline thread_local FlowId current_tls_ = 0;
 };
 
 /**

@@ -8,8 +8,6 @@
 
 namespace mirage::trace {
 
-thread_local Profiler::ScopeId Profiler::current_tls_ = 0;
-
 // ---- DomainStats -----------------------------------------------------------
 
 void

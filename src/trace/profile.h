@@ -315,7 +315,7 @@ class Profiler
     u64 gc_pause_alert_ns_ = 0;
     static constexpr std::size_t alertLogCapacity = 64;
 
-    static thread_local ScopeId current_tls_;
+    static inline thread_local ScopeId current_tls_ = 0;
 };
 
 /**

@@ -248,6 +248,67 @@ TEST_F(DatapathTest, RegistryAtCapRefusesWhenBusyAndEvictsColdestIdle)
     EXPECT_TRUE(active(refs[3]));
 }
 
+TEST_F(DatapathTest, RegistryOfMappedEntriesRefusesWithoutWalking)
+{
+    sim::tuning().frontendRegistryCap = 4;
+    xen::Domain &uk = hv.createDomain("uk", xen::GuestKind::Unikernel, 64);
+    pvboot::PVBoot boot(uk);
+    GrantPool pool(boot, dom0.id());
+    xen::GrantTable &gt = uk.grantTable();
+
+    // Register A, B, C, D (D most recent). The app lets go of every
+    // buffer, but the backend keeps each grant mapped, as a persistent
+    // map cache does.
+    std::vector<xen::GrantRef> refs;
+    for (int i = 0; i < 4; i++) {
+        Cstruct app = Cstruct::create(8192);
+        GrantPool::Region r = pool.regionFor(app.sub(100, 50));
+        ASSERT_TRUE(r.persistent);
+        refs.push_back(r.gref);
+        EXPECT_EQ(gt.idleRegistryGrants(), 1u) << "the new entry";
+        ASSERT_TRUE(gt.mapFor(dom0.id(), r.gref, false).ok());
+        EXPECT_EQ(gt.idleRegistryGrants(), 0u);
+    }
+    // A second map of A moves nothing; its unmap leaves A mapped.
+    ASSERT_TRUE(gt.mapFor(dom0.id(), refs[0], false).ok());
+    ASSERT_TRUE(gt.unmapFor(dom0.id(), refs[0]).ok());
+    EXPECT_EQ(gt.idleRegistryGrants(), 0u);
+    // Pooled pages are not registry grants.
+    ASSERT_TRUE(pool.acquirePage().ok());
+    EXPECT_EQ(gt.idleRegistryGrants(), 0u);
+
+    for (int i = 0; i < 3; i++)
+        EXPECT_FALSE(pool.regionFor(Cstruct::create(8192)).persistent)
+            << "every entry mapped: refuse rather than revoke";
+    EXPECT_EQ(pool.registryWalks(), 0u) << "refused without a walk";
+    EXPECT_EQ(pool.registeredBuffers(), 4u);
+
+    // D and B unmap: B is the colder idle entry, so B goes.
+    ASSERT_TRUE(gt.unmapFor(dom0.id(), refs[3]).ok());
+    ASSERT_TRUE(gt.unmapFor(dom0.id(), refs[1]).ok());
+    EXPECT_EQ(gt.idleRegistryGrants(), 2u);
+    Cstruct fresh = Cstruct::create(8192);
+    GrantPool::Region r = pool.regionFor(fresh);
+    EXPECT_TRUE(r.persistent);
+    EXPECT_EQ(pool.registryWalks(), 1u);
+    EXPECT_EQ(pool.registeredBuffers(), 4u);
+    EXPECT_EQ(gt.mapCountOf(refs[1]), 0u);
+    EXPECT_FALSE(gt.mapFor(dom0.id(), refs[1], false).ok())
+        << "B was revoked";
+    EXPECT_EQ(gt.idleRegistryGrants(), 2u) << "D and the new entry";
+
+    // drain() revokes the idle entries and skips the mapped ones.
+    pool.drain();
+    EXPECT_EQ(gt.idleRegistryGrants(), 0u);
+    EXPECT_EQ(gt.mapCountOf(refs[0]), 1u);
+    // A mapped entry that outlives the pool still counts once unmapped,
+    // until teardown drops every entry.
+    ASSERT_TRUE(gt.unmapFor(dom0.id(), refs[0]).ok());
+    EXPECT_EQ(gt.idleRegistryGrants(), 1u);
+    gt.releaseAll();
+    EXPECT_EQ(gt.idleRegistryGrants(), 0u);
+}
+
 TEST_F(DatapathTest, RecycleListenersMayUnsubscribeWhileFiring)
 {
     xen::Domain &uk = hv.createDomain("uk", xen::GuestKind::Unikernel, 64);

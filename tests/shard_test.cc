@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -392,12 +393,15 @@ runCloudWorkload(unsigned shards)
     }
 
     CloudResult r;
+    // Responses land on whichever shard runs their client, possibly two
+    // at once.
+    std::atomic<int> completed{0};
     for (int i = 0; i < 3; i++) {
         auto holder =
             std::make_shared<std::shared_ptr<http::HttpSession>>();
         *holder = http::HttpSession::open(
             clients[i]->stack, net::Ipv4Addr(10, 0, 0, u8(10 + i)), 80,
-            [&r, holder, i](Status st) {
+            [&completed, holder, i](Status st) {
                 ASSERT_TRUE(st.ok());
                 for (int q = 0; q < 4; q++) {
                     http::HttpRequest req;
@@ -405,15 +409,17 @@ runCloudWorkload(unsigned shards)
                     req.path = "/c" + std::to_string(i) + "/q" +
                                std::to_string(q);
                     (*holder)->request(
-                        req, [&r](Result<http::HttpResponse> resp) {
+                        req,
+                        [&completed](Result<http::HttpResponse> resp) {
                             if (resp.ok())
-                                r.completed++;
+                                completed++;
                         });
                 }
             });
     }
     cloud.run();
 
+    r.completed = completed.load();
     r.events = cloud.eventsRun();
     r.checksum = cloud.shards().dispatchChecksum();
     r.max_now_ns = cloud.shards().maxNow().ns();
@@ -457,6 +463,17 @@ TEST(CloudShardTest, HttpFleetIsIdenticalAtAnyShardCount)
             << "flow " << i << " diverges between 1 and 8 shards (id "
             << one.flows[i].id << " vs " << eight.flows[i].id << ")";
     }
+}
+
+TEST(CloudShardTest, OneShardRunIsPinned)
+{
+    // Engine and driver fast paths may change what an event costs on
+    // the host, never which events run or when: these are the 1-shard
+    // figures of the reference implementation.
+    CloudResult one = runCloudWorkload(1);
+    EXPECT_EQ(one.completed, 12);
+    EXPECT_EQ(one.events, 3158u);
+    EXPECT_EQ(one.checksum, 0x221e80bd9d36ed1aull);
 }
 
 TEST(CloudShardTest, ShardAwareAggregatesReachQuiescence)

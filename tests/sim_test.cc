@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <compare>
 #include <memory>
 #include <set>
@@ -139,15 +140,19 @@ class OrderModel
         auto operator<=>(const Key &) const = default;
     };
 
-    OrderModel(Engine &e, u64 seed, std::size_t budget)
-        : e_(e), rng_(seed), budget_(budget)
+    /** Child delays drawn uniformly from @p delays (negative delays
+     *  schedule into the past, which the engine clamps to now). */
+    OrderModel(Engine &e, u64 seed, std::size_t budget,
+               std::vector<i64> delays = {0, 0, 0, 1000, 1000, 5000})
+        : e_(e), rng_(seed), budget_(budget), delays_(std::move(delays))
     {
     }
 
     void
     schedule(i64 delay)
     {
-        Key k{e_.now().ns() + delay, 0, 0};
+        i64 now = e_.now().ns();
+        Key k{std::max(now, now + delay), 0, 0};
         if (running_) {
             k.strand = cur_hash_;
             k.idx = next_child_++;
@@ -156,8 +161,9 @@ class OrderModel
         }
         std::size_t n = keys_.size();
         keys_.push_back(k);
+        far_.push_back(k.when - now > Engine::kNearHorizon.ns());
         pending_.emplace(k, n);
-        ids_.push_back(e_.at(TimePoint(k.when), [this, n] { run(n); }));
+        ids_.push_back(e_.at(TimePoint(now + delay), [this, n] { run(n); }));
     }
 
     /** Cancel a random pending event, or a random fired one (no-op). */
@@ -169,16 +175,36 @@ class OrderModel
         pending_.erase({keys_[n], n});
     }
 
-    /** Many ties: most delays are 0 or one of two short steps. */
-    i64
-    delay()
+    /** Cancel the least pending event: the head of the engine's queue,
+     *  whichever of its heaps holds it. */
+    void
+    cancelHead()
     {
-        static constexpr i64 kDelays[] = {0, 0, 0, 1000, 1000, 5000};
-        return kDelays[rng_.below(6)];
+        if (pending_.empty())
+            return;
+        std::size_t n = pending_.begin()->second;
+        (far_[n] ? cancelled_far_heads : cancelled_near_heads)++;
+        e_.cancel(ids_[n]);
+        pending_.erase(pending_.begin());
     }
+
+    /** Earliest pending time the model expects, or Engine::kNever. */
+    TimePoint
+    nextTime() const
+    {
+        return pending_.empty() ? Engine::kNever
+                                : TimePoint(pending_.begin()->first.when);
+    }
+
+    i64 delay() { return delays_[rng_.below(delays_.size())]; }
+
+    /** Chance (1 in N, 0 = never) that a dispatch cancels the head. */
+    u64 head_cancel_one_in = 0;
 
     std::size_t out_of_order = 0;
     std::size_t dispatched = 0;
+    std::size_t cancelled_near_heads = 0;
+    std::size_t cancelled_far_heads = 0;
     u64 checksum = 0;
 
   private:
@@ -200,13 +226,17 @@ class OrderModel
             if (rng_.below(5) == 0)
                 cancelSome();
         }
+        if (head_cancel_one_in && rng_.below(head_cancel_one_in) == 0)
+            cancelHead();
         running_ = false;
     }
 
     Engine &e_;
     Rng rng_;
     std::size_t budget_;
+    std::vector<i64> delays_;
     std::vector<Key> keys_;
+    std::vector<bool> far_; //!< scheduled beyond the near horizon
     std::vector<EventId> ids_;
     std::set<std::pair<Key, std::size_t>> pending_;
     bool running_ = false;
@@ -265,6 +295,82 @@ TEST(EngineTest, CancelledClosureReleasedWhenDropped)
     EXPECT_EQ(e.nextEventTime().ns(), Duration::millis(2).ns());
     EXPECT_TRUE(watch.expired()) << "dropping the head frees the closure";
     EXPECT_EQ(e.cancelledBacklog(), 0u);
+}
+
+TEST(EngineTest, NearAndFarEventsMatchReferenceOrder)
+{
+    // Delays straddle the near horizon: poll-like 0/1 us hops, delays
+    // exactly at the horizon and one ns either side, protocol-timer
+    // distances, and late schedules the engine clamps to now. On a
+    // 1 us grid, near and far keys keep landing on the same instant,
+    // where only the causal key may decide.
+    const i64 h = Engine::kNearHorizon.ns();
+    Engine e;
+    OrderModel model(e, 7, 40'000,
+                     {-3000, 0, 0, 1000, 1000, h - 1000, h - 1, h, h + 1,
+                      h + 1000, 130'000, 200'000, 1'000'000});
+    model.head_cancel_one_in = 7;
+    for (int i = 0; i < 64; i++)
+        model.schedule(i % 2 ? 1000 : 2 * h);
+    // Step one event at a time: between dispatches nextEventTime()
+    // must name the model's least live key, dropping cancelled heads
+    // from either heap on the way.
+    std::size_t mismatches = 0;
+    while (!e.empty()) {
+        if (e.nextEventTime() != model.nextTime())
+            mismatches++;
+        ASSERT_TRUE(e.step());
+    }
+    EXPECT_EQ(e.nextEventTime(), Engine::kNever);
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_GT(model.dispatched, 20'000u);
+    EXPECT_EQ(model.out_of_order, 0u);
+    EXPECT_GT(model.cancelled_near_heads, 100u);
+    EXPECT_GT(model.cancelled_far_heads, 100u);
+    EXPECT_EQ(e.eventsRun(), model.dispatched);
+    EXPECT_EQ(e.dispatchChecksum(), model.checksum);
+    EXPECT_EQ(e.pendingEvents(), 0u);
+    EXPECT_EQ(e.cancelledBacklog(), 0u);
+}
+
+TEST(EngineTest, HorizonBoundaryTiesFollowCausalKey)
+{
+    // Three events due at one instant: two scheduled at t=0 one ns
+    // beyond the horizon (far heap), one scheduled at t=1 exactly at
+    // the horizon (near heap). The causal key decides, not the heap.
+    const i64 h = Engine::kNearHorizon.ns();
+    Engine e;
+    std::vector<int> order;
+    e.at(TimePoint(h + 1), [&] { order.push_back(0); });
+    e.after(Duration::nanos(1), [&] {
+        e.after(Engine::kNearHorizon, [&] { order.push_back(1); });
+    });
+    e.at(TimePoint(h + 1), [&] { order.push_back(2); });
+    e.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 2, 1}))
+        << "root strand 0 sorts before the child's strand";
+
+    // A late schedule runs at now; a cancelled far head is dropped by
+    // nextEventTime() just as a near one is.
+    Engine c;
+    order.clear();
+    EventId far = c.at(TimePoint(5 * h), [&] { order.push_back(0); });
+    c.at(TimePoint(5 * h), [&] { order.push_back(1); });
+    c.after(Duration::nanos(10), [&] {
+        c.after(Duration::nanos(0), [&] { order.push_back(2); });
+    });
+    c.at(TimePoint(-5), [&] { order.push_back(3); });
+    ASSERT_TRUE(c.step());
+    EXPECT_EQ(c.now().ns(), 0);
+    ASSERT_TRUE(c.step());
+    ASSERT_TRUE(c.step());
+    EXPECT_EQ(c.now().ns(), 10);
+    c.cancel(far);
+    EXPECT_EQ(c.cancelledBacklog(), 1u);
+    EXPECT_EQ(c.nextEventTime().ns(), 5 * h);
+    EXPECT_EQ(c.cancelledBacklog(), 0u) << "the cancelled head is gone";
+    c.run();
+    EXPECT_EQ(order, (std::vector<int>{3, 2, 1}));
 }
 
 TEST(CpuTest, SerialisesWork)
