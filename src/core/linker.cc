@@ -125,11 +125,9 @@ Linker::loadAndSeal(const LinkedImage &image, xen::PageTables &pt) const
             pages = 1;
         xen::PageRole role = s.perms.exec ? xen::PageRole::Text
                                           : xen::PageRole::Data;
-        for (std::size_t i = 0; i < pages; i++) {
-            Status st = pt.map(s.baseVpn + i, s.perms, role);
-            if (!st.ok())
-                return st;
-        }
+        Status st = pt.mapRange(s.baseVpn, pages, s.perms, role);
+        if (!st.ok())
+            return st;
     }
     return pt.seal();
 }

@@ -8,13 +8,10 @@ Status
 mapRange(xen::PageTables &pt, u64 first_vpn, std::size_t count,
          xen::PagePerms perms, xen::PageRole role, u64 &updates)
 {
-    for (std::size_t i = 0; i < count; i++) {
-        Status st = pt.map(first_vpn + i, perms, role);
-        if (!st.ok())
-            return st;
-        updates++;
-    }
-    return Status::success();
+    Status st = pt.mapRange(first_vpn, count, perms, role);
+    if (st.ok())
+        updates += count;
+    return st;
 }
 
 } // namespace

@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+
+#include "base/logging.h"
+#include "base/rand.h"
 #include "hypervisor/blkback.h"
 #include "hypervisor/builder.h"
 #include "hypervisor/netback.h"
@@ -75,6 +80,218 @@ TEST_F(HvTest, SealIsOneShot)
     Domain &d = hv.createDomain("uk", GuestKind::Unikernel, 64);
     ASSERT_TRUE(hv.seal(d).ok());
     EXPECT_FALSE(hv.seal(d).ok());
+}
+
+/**
+ * Per-page reference model of PageTables: one map node per page, the
+ * policy written out page by page. mapRange is a map() loop that stops
+ * at the first failure.
+ */
+class PerPageTables
+{
+  public:
+    using Entry = PageTables::Entry;
+
+    Status map(u64 vpn, PagePerms perms, PageRole role)
+    {
+        if (sealed_) {
+            bool io_ok = role == PageRole::IoPage && !perms.exec &&
+                         pages_.find(vpn) == pages_.end();
+            if (!io_ok) {
+                refused_++;
+                return stateError("page-table modification after seal");
+            }
+        }
+        if (!pages_.try_emplace(vpn, Entry{perms, role}).second) {
+            refused_++;
+            return stateError(strprintf("vpn %llu already mapped",
+                                        (unsigned long long)vpn));
+        }
+        updates_++;
+        return Status::success();
+    }
+
+    Status mapRange(u64 first, u64 count, PagePerms perms, PageRole role)
+    {
+        for (u64 i = 0; i < count; i++) {
+            Status st = map(first + i, perms, role);
+            if (!st.ok())
+                return st;
+        }
+        return Status::success();
+    }
+
+    Status protect(u64 vpn, PagePerms perms)
+    {
+        if (sealed_) {
+            refused_++;
+            return stateError("protect after seal");
+        }
+        auto it = pages_.find(vpn);
+        if (it == pages_.end()) {
+            refused_++;
+            return notFoundError("protect of unmapped page");
+        }
+        it->second.perms = perms;
+        updates_++;
+        return Status::success();
+    }
+
+    Status unmap(u64 vpn)
+    {
+        if (sealed_) {
+            refused_++;
+            return stateError("unmap after seal");
+        }
+        if (pages_.erase(vpn) == 0) {
+            refused_++;
+            return notFoundError("unmap of unmapped page");
+        }
+        updates_++;
+        return Status::success();
+    }
+
+    Status seal()
+    {
+        if (sealed_)
+            return stateError("domain already sealed");
+        for (const auto &[vpn, e] : pages_)
+            if (e.perms.write && e.perms.exec)
+                return stateError(strprintf(
+                    "seal refused: vpn %llu is writable and executable",
+                    (unsigned long long)vpn));
+        sealed_ = true;
+        return Status::success();
+    }
+
+    const Entry *lookup(u64 vpn) const
+    {
+        auto it = pages_.find(vpn);
+        return it == pages_.end() ? nullptr : &it->second;
+    }
+
+    /** Maximal runs of consecutive pages with equal entries. */
+    std::size_t runs() const
+    {
+        std::size_t n = 0;
+        std::optional<std::pair<u64, Entry>> prev;
+        for (const auto &[vpn, e] : pages_) {
+            if (!prev || prev->first + 1 != vpn || !(prev->second == e))
+                n++;
+            prev = std::make_pair(vpn, e);
+        }
+        return n;
+    }
+
+    bool sealed() const { return sealed_; }
+    std::size_t mappedPages() const { return pages_.size(); }
+    u64 updatesApplied() const { return updates_; }
+    u64 updatesRefused() const { return refused_; }
+
+  private:
+    std::map<u64, Entry> pages_;
+    bool sealed_ = false;
+    u64 updates_ = 0;
+    u64 refused_ = 0;
+};
+
+void
+expectSameStatus(const Status &got, const Status &want, int step)
+{
+    ASSERT_EQ(got.ok(), want.ok()) << "step " << step;
+    if (!want.ok()) {
+        EXPECT_EQ(got.error().kind, want.error().kind) << "step " << step;
+        EXPECT_EQ(got.error().message, want.error().message)
+            << "step " << step;
+    }
+}
+
+TEST(PageTablesTest, RunsMatchPerPageReference)
+{
+    // A small palette makes equal neighbours (merges) common; the
+    // window is narrow so maps overlap, split and re-join runs.
+    const PageTables::Entry palette[] = {
+        {PagePerms::rw(), PageRole::Data},
+        {PagePerms::rw(), PageRole::IoPage},
+        {PagePerms::rx(), PageRole::Text},
+        {PagePerms::none(), PageRole::Guard},
+        {PagePerms::rwx(), PageRole::Heap},
+        {PagePerms::ro(), PageRole::IoPage},
+        {PagePerms::rw(), PageRole::Stack},
+    };
+    const PagePerms perms[] = {PagePerms::rw(), PagePerms::rx(),
+                               PagePerms::ro(), PagePerms::rwx(),
+                               PagePerms::none()};
+    constexpr u64 window = 48;
+    for (u64 seed = 1; seed <= 200; seed++) {
+        Rng rng(seed);
+        PageTables pt;
+        PerPageTables ref;
+        for (int step = 0; step < 300; step++) {
+            u64 vpn = rng.below(window);
+            const auto &e = palette[rng.below(std::size(palette))];
+            u64 op = rng.below(100);
+            if (op < 30) {
+                expectSameStatus(pt.map(vpn, e.perms, e.role),
+                                 ref.map(vpn, e.perms, e.role), step);
+            } else if (op < 55) {
+                u64 count = rng.below(13);
+                expectSameStatus(pt.mapRange(vpn, count, e.perms, e.role),
+                                 ref.mapRange(vpn, count, e.perms, e.role),
+                                 step);
+            } else if (op < 77) {
+                PagePerms p = perms[rng.below(std::size(perms))];
+                expectSameStatus(pt.protect(vpn, p), ref.protect(vpn, p),
+                                 step);
+            } else if (op < 97) {
+                expectSameStatus(pt.unmap(vpn), ref.unmap(vpn), step);
+            } else {
+                // Names the first W^X vpn when refused.
+                expectSameStatus(pt.seal(), ref.seal(), step);
+            }
+            ASSERT_EQ(pt.sealed(), ref.sealed()) << "step " << step;
+            ASSERT_EQ(pt.mappedPages(), ref.mappedPages()) << "step " << step;
+            ASSERT_EQ(pt.updatesApplied(), ref.updatesApplied())
+                << "step " << step;
+            ASSERT_EQ(pt.updatesRefused(), ref.updatesRefused())
+                << "step " << step;
+            ASSERT_EQ(pt.runCount(), ref.runs()) << "step " << step;
+            for (u64 v = 0; v < window + 14; v++) {
+                const auto *got = pt.lookup(v);
+                const auto *want = ref.lookup(v);
+                ASSERT_EQ(got != nullptr, want != nullptr)
+                    << "seed " << seed << " step " << step << " vpn " << v;
+                if (want) {
+                    ASSERT_EQ(*got, *want) << "seed " << seed << " vpn " << v;
+                }
+                ASSERT_EQ(pt.canExecute(v), want && want->perms.exec);
+                ASSERT_EQ(pt.canWrite(v), want && want->perms.write);
+            }
+        }
+    }
+}
+
+TEST(PageTablesTest, SealedMapRangeMapsUpToTheConflict)
+{
+    PageTables pt;
+    ASSERT_TRUE(pt.map(5, PagePerms::rx(), PageRole::Text).ok());
+    ASSERT_TRUE(pt.seal().ok());
+    // Fresh I/O pages up to the code page are mapped; the code page is
+    // refused once and the rest are not attempted.
+    Status st = pt.mapRange(2, 6, PagePerms::rw(), PageRole::IoPage);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.error().message, "page-table modification after seal");
+    EXPECT_EQ(pt.updatesApplied(), 1u + 3u);
+    EXPECT_EQ(pt.updatesRefused(), 1u);
+    EXPECT_NE(pt.lookup(4), nullptr);
+    EXPECT_EQ(pt.lookup(6), nullptr);
+    // Unsealed, the same conflict names the vpn.
+    PageTables open;
+    ASSERT_TRUE(open.map(5, PagePerms::rx(), PageRole::Text).ok());
+    st = open.mapRange(2, 6, PagePerms::rw(), PageRole::Data);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.error().message, "vpn 5 already mapped");
+    EXPECT_EQ(open.runCount(), 2u) << "2..4 data, 5 text";
 }
 
 // ---- Grant tables ------------------------------------------------------------

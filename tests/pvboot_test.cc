@@ -76,6 +76,19 @@ TEST_F(PvbootTest, LayoutCountsPtUpdates)
     EXPECT_EQ(boot.layoutUpdates(), d.pageTables().updatesApplied());
 }
 
+TEST_F(PvbootTest, BootedLayoutIsAFewRuns)
+{
+    // The page tables store runs of equal pages, so a booted domain
+    // costs O(regions), not one node per page of its 4,700-page layout.
+    xen::Domain &d =
+        hv.createDomain("uk", xen::GuestKind::Unikernel, 64);
+    PVBoot boot(d);
+    ASSERT_TRUE(boot.seal().ok());
+    const auto &pt = d.pageTables();
+    EXPECT_LE(pt.runCount(), 16u);
+    EXPECT_EQ(pt.mappedPages(), boot.layoutUpdates());
+}
+
 // ---- Slab allocator ----------------------------------------------------------
 
 TEST(SlabTest, AllocFreeReuse)
