@@ -27,16 +27,8 @@ TcpConnection::TcpConnection(NetworkStack &stack, Tcp &tcp,
       peer_ip_(peer_ip), peer_port_(peer_port),
       cwnd_(u32(defaultMss) * 10) // RFC 6928 initial window
 {
-    if (auto *m = stack_.scheduler().engine().metrics()) {
-        c_segments_sent_ = &m->counter("tcp.segments_sent");
-        c_segments_received_ = &m->counter("tcp.segments_received");
-        c_bytes_sent_ = &m->counter("tcp.bytes_sent");
-        c_bytes_received_ = &m->counter("tcp.bytes_received");
-        c_retransmits_ = &m->counter("tcp.retransmits");
-        c_fast_retransmits_ = &m->counter("tcp.fast_retransmits");
-        c_rto_fires_ = &m->counter("tcp.rto_fires");
-        c_dup_acks_ = &m->counter("tcp.dup_acks");
-    }
+    // The registry mirrors of stats_ live in Tcp, one set per stack.
+    tcp_.resolveCounters();
 }
 
 u32
@@ -171,7 +163,7 @@ void
 TcpConnection::segmentInput(const TcpSegment &seg)
 {
     stats_.segmentsReceived++;
-    trace::bump(c_segments_received_);
+    trace::bump(tcp_.counters_.segmentsReceived);
     if (auto *tr = stack_.scheduler().engine().tracer();
         tr && tr->enabled()) {
         if (trace_track_ == 0)
@@ -289,7 +281,7 @@ TcpConnection::handleAck(const TcpSegment &seg)
                 if (!unacked_.empty()) {
                     retransmitFront();
                     stats_.retransmits++;
-                    trace::bump(c_retransmits_);
+                    trace::bump(tcp_.counters_.retransmits);
                 }
                 cwnd_ = cwnd_ > acked ? cwnd_ - acked : u32(mss_);
                 cwnd_ += mss_;
@@ -327,7 +319,7 @@ TcpConnection::handleAck(const TcpSegment &seg)
         if (seg.payload.empty() && !seg.has(TcpFlags::fin)) {
             dup_acks_++;
             stats_.dupAcksSeen++;
-            trace::bump(c_dup_acks_);
+            trace::bump(tcp_.counters_.dupAcks);
             if (!in_recovery_ && dup_acks_ == 3) {
                 // Fast retransmit + fast recovery.
                 u32 flight = flightSize();
@@ -336,8 +328,8 @@ TcpConnection::handleAck(const TcpSegment &seg)
                 retransmitFront();
                 stats_.retransmits++;
                 stats_.fastRetransmits++;
-                trace::bump(c_retransmits_);
-                trace::bump(c_fast_retransmits_);
+                trace::bump(tcp_.counters_.retransmits);
+                trace::bump(tcp_.counters_.fastRetransmits);
                 in_recovery_ = true;
                 recover_ = snd_nxt_;
                 cwnd_ = ssthresh_ + 3 * u32(mss_);
@@ -384,7 +376,7 @@ TcpConnection::handleData(const TcpSegment &seg)
     if (!payload.empty()) {
         rcv_nxt_ += u32(payload.length());
         stats_.bytesReceived += payload.length();
-        trace::bump(c_bytes_received_, payload.length());
+        trace::bump(tcp_.counters_.bytesReceived, payload.length());
         if (data_handler_)
             data_handler_(payload);
     }
@@ -404,7 +396,7 @@ TcpConnection::handleData(const TcpSegment &seg)
         Cstruct fresh = skip ? held.shift(skip) : held;
         rcv_nxt_ += u32(fresh.length());
         stats_.bytesReceived += fresh.length();
-        trace::bump(c_bytes_received_, fresh.length());
+        trace::bump(tcp_.counters_.bytesReceived, fresh.length());
         if (data_handler_)
             data_handler_(fresh);
         it = out_of_order_.begin();
@@ -512,7 +504,7 @@ TcpConnection::trySend()
                                    false});
         snd_nxt_ += u32(gathered);
         stats_.bytesSent += gathered;
-        trace::bump(c_bytes_sent_, gathered);
+        trace::bump(tcp_.counters_.bytesSent, gathered);
         armRto();
     }
 
@@ -570,7 +562,7 @@ TcpConnection::sendSegment(u8 flags, u32 seq,
     }
     std::size_t total = hdr_len + payload_len;
     stats_.segmentsSent++;
-    trace::bump(c_segments_sent_);
+    trace::bump(tcp_.counters_.segmentsSent);
     if (auto *tr = stack_.scheduler().engine().tracer();
         tr && tr->enabled()) {
         if (trace_track_ == 0)
@@ -657,8 +649,8 @@ TcpConnection::onRtoFire()
         return;
     stats_.rtoFires++;
     stats_.retransmits++;
-    trace::bump(c_rto_fires_);
-    trace::bump(c_retransmits_);
+    trace::bump(tcp_.counters_.rtoFires);
+    trace::bump(tcp_.counters_.retransmits);
     // Collapse to one MSS and back off (RFC 5681 / 6298).
     ssthresh_ = std::max(flightSize() / 2, u32(mss_) * 2);
     cwnd_ = mss_;

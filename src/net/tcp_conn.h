@@ -226,15 +226,6 @@ class TcpConnection : public Flow,
     bool close_signalled_ = false;
     Stats stats_;
 
-    // Registry mirrors of stats_ (null when no metrics are attached).
-    trace::Counter *c_segments_sent_ = nullptr;
-    trace::Counter *c_segments_received_ = nullptr;
-    trace::Counter *c_bytes_sent_ = nullptr;
-    trace::Counter *c_bytes_received_ = nullptr;
-    trace::Counter *c_retransmits_ = nullptr;
-    trace::Counter *c_fast_retransmits_ = nullptr;
-    trace::Counter *c_rto_fires_ = nullptr;
-    trace::Counter *c_dup_acks_ = nullptr;
     u32 trace_track_ = 0;
 };
 
