@@ -93,42 +93,19 @@ GrantPool::pageReturned(std::size_t at)
 {
     if (at < pages_.size()) // drain() may have emptied the pool
         returned_[at / 64] |= u64(1) << (at % 64);
-    // A listener may unsubscribe (any listener, itself included) or
-    // subscribe while we iterate: removal only zeroes the token until
-    // the outermost loop ends, and the running closure is held in a
-    // local so growth cannot move it. Listeners added meanwhile wait
-    // for the next return.
-    firing_++;
-    for (std::size_t i = 0, n = listeners_.size(); i < n; i++) {
-        if (listeners_[i].token == 0 || !listeners_[i].fn)
-            continue; // removed, or running further up this stack
-        std::function<void()> fn = std::move(listeners_[i].fn);
-        fn();
-        if (listeners_[i].token != 0)
-            listeners_[i].fn = std::move(fn);
-    }
-    if (--firing_ == 0)
-        std::erase_if(listeners_,
-                      [](const Listener &l) { return l.token == 0; });
+    listeners_.fire();
 }
 
 u64
 GrantPool::addRecycleListener(std::function<void()> fn)
 {
-    u64 token = next_listener_++;
-    listeners_.push_back(Listener{token, std::move(fn)});
-    return token;
+    return listeners_.add(std::move(fn));
 }
 
 void
 GrantPool::removeRecycleListener(u64 token)
 {
-    for (Listener &l : listeners_)
-        if (l.token == token)
-            l.token = 0;
-    if (firing_ == 0)
-        std::erase_if(listeners_,
-                      [](const Listener &l) { return l.token == 0; });
+    listeners_.remove(token);
 }
 
 bool

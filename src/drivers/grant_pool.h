@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "base/cstruct.h"
+#include "base/listeners.h"
 #include "base/result.h"
 #include "hypervisor/grant_table.h"
 #include "pvboot/pvboot.h"
@@ -138,12 +139,6 @@ class GrantPool
         std::list<Registered *>::iterator lru_it;
     };
 
-    struct Listener
-    {
-        u64 token; //!< 0 once removed while listeners were running
-        std::function<void()> fn;
-    };
-
     struct Lease;
 
     bool pageFree(const PooledPage &p) const;
@@ -172,9 +167,7 @@ class GrantPool
     u64 issued_ = 0;
     u64 reused_ = 0;
     u64 registry_walks_ = 0;
-    u64 next_listener_ = 1;
-    std::vector<Listener> listeners_;
-    u32 firing_ = 0; //!< nesting depth of listener loops in progress
+    ListenerList listeners_;
     trace::Counter *c_issued_ = nullptr;
     trace::Counter *c_reused_ = nullptr;
     //! Liveness token shared with the (unremovable) shutdown hook.

@@ -30,11 +30,7 @@ IoPagePool::allocPage()
             return; // page outlived the pool (held by a grant entry)
         pool->in_use_--;
         pool->recycled_++;
-        // Copy the list: a listener may unsubscribe others (or itself)
-        // while we iterate.
-        auto listeners = pool->listeners_;
-        for (auto &[token, fn] : listeners)
-            fn();
+        pool->listeners_.fire();
     });
     return Cstruct(std::move(buf));
 }
@@ -42,16 +38,13 @@ IoPagePool::allocPage()
 u64
 IoPagePool::addRecycleListener(std::function<void()> fn)
 {
-    u64 token = next_listener_++;
-    listeners_.emplace_back(token, std::move(fn));
-    return token;
+    return listeners_.add(std::move(fn));
 }
 
 void
 IoPagePool::removeRecycleListener(u64 token)
 {
-    std::erase_if(listeners_,
-                  [token](const auto &p) { return p.first == token; });
+    listeners_.remove(token);
 }
 
 } // namespace mirage::pvboot

@@ -12,10 +12,9 @@
 
 #include <functional>
 #include <memory>
-#include <utility>
-#include <vector>
 
 #include "base/cstruct.h"
+#include "base/listeners.h"
 #include "base/result.h"
 #include "base/types.h"
 
@@ -43,7 +42,10 @@ class IoPagePool
      */
     u64 addRecycleListener(std::function<void()> fn);
 
-    /** Drop a listener. Safe for tokens already removed. */
+    /**
+     * Drop a listener. Safe for tokens already removed, and from inside
+     * a listener (the removed one is not called again).
+     */
     void removeRecycleListener(u64 token);
 
     std::size_t capacity() const { return capacity_; }
@@ -61,8 +63,7 @@ class IoPagePool
     u64 allocations_ = 0;
     u64 recycled_ = 0;
     u64 exhaustions_ = 0;
-    u64 next_listener_ = 1;
-    std::vector<std::pair<u64, std::function<void()>>> listeners_;
+    ListenerList listeners_;
     /**
      * Liveness token captured by every page's release hook: a buffer
      * can outlive the pool (e.g. a persistent grant held in the grant
