@@ -3,8 +3,9 @@
  * Real-time microbenchmarks (google-benchmark) of the library's hot
  * paths: Cstruct accessors and slicing, the Internet checksum, the
  * shared-ring protocol, the event engine, the grant pool and checker
- * teardown, TCP header build/parse, DNS query handling (memo hit vs
- * full path), and B-tree operations. These measure this
+ * teardown, the boot layout's page tables, TCP header build/parse and
+ * active opens, DNS query handling (memo hit vs full path), and B-tree
+ * operations. These measure this
  * implementation's own code, complementing the virtual-time
  * reproductions.
  */
@@ -23,8 +24,11 @@
 #include "bench_json.h"
 #include "check/check.h"
 #include "drivers/grant_pool.h"
+#include "hypervisor/netback.h"
 #include "hypervisor/ring.h"
 #include "hypervisor/xen.h"
+#include "net/stack.h"
+#include "pvboot/layout.h"
 #include "sim/engine.h"
 #include "sim/shard.h"
 #include "sim/tuning.h"
@@ -226,6 +230,77 @@ BM_CheckerDomainTeardown(benchmark::State &state)
         benchmark::DoNotOptimize(ck.violations());
     }
     state.SetItemsProcessed(i64(state.iterations()) * kDomains);
+}
+
+void
+BM_PageTablesBootLayout(benchmark::State &state)
+{
+    // Build and destroy the page tables of one default Fig 2 layout:
+    // the per-domain page-table cost of every boot and teardown.
+    pvboot::LayoutSpec spec;
+    for (auto _ : state) {
+        xen::PageTables pt;
+        auto updates = pvboot::buildLayout(pt, spec);
+        benchmark::DoNotOptimize(updates.ok());
+    }
+}
+
+void
+BM_TcpConnectWithTimeWait(benchmark::State &state)
+{
+    // A client stack holding ~3k connections in TIME_WAIT (the 1 s
+    // after each of its active closes) opens one more connection and
+    // aborts it: port allocation, demux insert and removal.
+    constexpr int kTimeWait = 3000;
+    constexpr int kBatch = 256;
+    sim::Engine engine;
+    xen::Hypervisor hv(engine);
+    xen::Bridge bridge(engine, "br0");
+    xen::Domain &dom0 =
+        hv.createDomain("dom0", xen::GuestKind::LinuxMinimal, 512);
+    xen::Netback netback(dom0, bridge);
+    xen::Domain &da = hv.createDomain("a", xen::GuestKind::Unikernel, 64);
+    xen::Domain &db = hv.createDomain("b", xen::GuestKind::Unikernel, 64);
+    pvboot::PVBoot boot_a(da), boot_b(db);
+    rt::Scheduler sched_a(engine, &da.vcpu()), sched_b(engine, &db.vcpu());
+    drivers::Netif nif_a(boot_a, netback, {0x02, 0, 0, 0, 0, 1});
+    drivers::Netif nif_b(boot_b, netback, {0x02, 0, 0, 0, 0, 2});
+    net::NetworkStack client(nif_a, sched_a,
+                             {net::Ipv4Addr(10, 0, 0, 1),
+                              net::Ipv4Addr(255, 255, 255, 0),
+                              net::Ipv4Addr(10, 0, 0, 254), 1.35});
+    net::NetworkStack server(nif_b, sched_b,
+                             {net::Ipv4Addr(10, 0, 0, 2),
+                              net::Ipv4Addr(255, 255, 255, 0),
+                              net::Ipv4Addr(10, 0, 0, 254), 1.35});
+    (void)server.tcp().listen(80, [](net::TcpConnPtr c) {
+        c->onClose([weak = std::weak_ptr<net::TcpConnection>(c)] {
+            if (auto conn = weak.lock())
+                conn->close(); // close our side too
+        });
+    });
+    net::Ipv4Addr peer(10, 0, 0, 2);
+    for (int i = 0; i < kTimeWait; i += 500) {
+        for (int j = 0; j < 500; j++)
+            client.tcp().connect(peer, 80, [](Result<net::TcpConnPtr> r) {
+                if (r.ok())
+                    r.value()->close();
+            });
+        engine.runFor(Duration::millis(20));
+    }
+    std::size_t held = client.tcp().connectionCount();
+    int n = 0;
+    for (auto _ : state) {
+        // No listener on 9: the SYN draws an RST after the abort.
+        client.tcp().connect(peer, 9, [](Result<net::TcpConnPtr>) {})
+            ->close();
+        if (++n % kBatch == 0) {
+            state.PauseTiming();
+            engine.runFor(Duration::millis(1)); // drain SYNs and RSTs
+            state.ResumeTiming();
+        }
+    }
+    state.counters["time_wait"] = double(held);
 }
 
 void
@@ -467,7 +542,10 @@ BENCHMARK(BM_EngineScheduleCancel);
 BENCHMARK(BM_EngineNearOverFarBacklog);
 BENCHMARK(BM_GrantPoolAcquire);
 BENCHMARK(BM_CheckerDomainTeardown)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_PageTablesBootLayout)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_TcpHeaderBuildParse);
+// A fixed count keeps the run inside the 1 s TIME_WAIT of the set-up.
+BENCHMARK(BM_TcpConnectWithTimeWait)->Iterations(8192);
 BENCHMARK(BM_DnsQueryFullPath);
 BENCHMARK(BM_DnsQueryMemoHit);
 BENCHMARK(BM_BTreeInsert);
