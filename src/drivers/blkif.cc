@@ -42,13 +42,11 @@ Blkif::Blkif(pvboot::PVBoot &boot, xen::Blkback &backend)
     poller_ = std::make_unique<sim::Poller>(
         dom.engine(),
         [this] {
-            // Idle round: rsp_event is already parked at this index.
-            if (ring_->unconsumedResponses() == 0 && wait_queue_.empty())
-                return false;
-            return drainResponses(true);
+            return ring_->unconsumedResponses() == 0 && wait_queue_.empty();
         },
+        [this] { return drainResponses(true); },
         [this] { return ring_->finalCheckForResponses(); });
-    backend.connect(dom, ring_grant, back_port);
+    backend.connect(dom, ring_grant, back_port, poller_.get());
 
     // Structural connect work for the boot-phase breakdown: one shared
     // ring initialised + granted, one event-channel pair wired.
@@ -113,6 +111,7 @@ Blkif::submit(u8 op, u64 sector, u32 count, Cstruct page)
         }
         wait_queue_.push_back(
             Queued{op, sector, count, std::move(page), p, flow});
+        poller_->wake();
         return p;
     }
     enqueueOnRing(op, sector, count, page, p, flow);

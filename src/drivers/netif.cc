@@ -74,12 +74,11 @@ Netif::Netif(pvboot::PVBoot &boot, xen::Netback &backend,
     poller_ = std::make_unique<sim::Poller>(
         dom.engine(),
         [this] {
-            // Idle round: both events are already parked at these
-            // consumer indices, so a drain would only re-write them.
-            if (tx_ring_->unconsumedResponses() == 0 &&
-                rx_ring_->unconsumedResponses() == 0 &&
-                tx_wait_queue_.empty())
-                return false;
+            return tx_ring_->unconsumedResponses() == 0 &&
+                   rx_ring_->unconsumedResponses() == 0 &&
+                   tx_wait_queue_.empty();
+        },
+        [this] {
             bool tx = drainTxResponses(true);
             bool rx = drainRxResponses(true);
             return tx || rx;
@@ -90,10 +89,12 @@ Netif::Netif(pvboot::PVBoot &boot, xen::Netback &backend,
             return tx || rx;
         });
 
-    backend.connect(xen::NetConnectInfo{&dom, tx_grant, rx_grant, btx,
-                                        brx, mac_,
-                                        sim::tuning().tcpSegOffload,
-                                        sim::tuning().csumOffload});
+    xen::Netback::Vif &vif = backend.connect(xen::NetConnectInfo{
+        &dom, tx_grant, rx_grant, btx, brx, mac_,
+        sim::tuning().tcpSegOffload, sim::tuning().csumOffload,
+        poller_.get()});
+    // The vif checked that it shares this domain's engine.
+    tx_ring_->wakeOnPush(&vif.txPoller());
     postRxBuffers();
 
     // Structural connect work for the boot-phase breakdown: two shared
@@ -172,6 +173,7 @@ Netif::writeFrameV(const std::vector<Cstruct> &frags, TxOffload offload)
             return p;
         }
         tx_wait_queue_.push_back(QueuedTx{frags, p, flow, offload});
+        poller_->wake();
         return p;
     }
     enqueueOnRing(frags, p, flow, offload);

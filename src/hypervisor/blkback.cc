@@ -134,7 +134,8 @@ Blkback::Blkback(Domain &backend_dom, VirtualDisk &disk)
 }
 
 void
-Blkback::connect(Domain &frontend, GrantRef ring_grant, Port backend_port)
+Blkback::connect(Domain &frontend, GrantRef ring_grant, Port backend_port,
+                 sim::Poller *poller)
 {
     Hypervisor &hv = dom_.hypervisor();
     auto page = hv.grantMap(dom_, frontend, ring_grant, true);
@@ -150,6 +151,10 @@ Blkback::connect(Domain &frontend, GrantRef ring_grant, Port backend_port)
     if (auto *m = dom_.engine().metrics())
         ring_->attachMetrics(*m, "ring.blkback");
     ring_->attachChecker(dom_.engine().checker(), "ring.blkback");
+    // A push wakes the frontend's poller on its engine directly: dom0's
+    // blkback serves only frontends on its own engine (unsharded).
+    CHECK(!poller || &poller->engine() == &dom_.engine());
+    ring_->wakeOnPush(poller);
     dom_.setPortHandler(port_, [this] {
         dom_.clearPending(port_);
         onEvent();

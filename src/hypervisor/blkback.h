@@ -102,8 +102,12 @@ class Blkback
      * Bind a frontend's ring (already granted) and event port. Also
      * registers a shutdown hook on @p frontend so the ring grant and
      * any in-flight data grants are unmapped when it tears down.
+     * Response pushes wake @p poller, the frontend's response poller,
+     * which must run on this backend's engine (null for a frontend
+     * that does not poll).
      */
-    void connect(Domain &frontend, GrantRef ring_grant, Port backend_port);
+    void connect(Domain &frontend, GrantRef ring_grant, Port backend_port,
+                 sim::Poller *poller = nullptr);
 
     /**
      * Unmap everything held on the frontend and drop the ring.

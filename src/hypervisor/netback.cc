@@ -213,12 +213,8 @@ Netback::Vif::Vif(Netback &owner, const NetConnectInfo &info)
                                               rx_port_);
     tx_poller_ = std::make_unique<sim::Poller>(
         owner_.dom_.engine(),
-        [this] {
-            // Idle round: req_event is already parked at this index.
-            if (!tx_ring_ || tx_ring_->unconsumedRequests() == 0)
-                return false;
-            return drainTx(true);
-        },
+        [this] { return !tx_ring_ || tx_ring_->unconsumedRequests() == 0; },
+        [this] { return drainTx(true); },
         [this] {
             return tx_ring_ && tx_ring_->finalCheckForRequests();
         });
@@ -237,6 +233,13 @@ Netback::Vif::Vif(Netback &owner, const NetConnectInfo &info)
     }
     tx_ring_->attachChecker(owner_.dom_.engine().checker(), "ring.netback.tx");
     rx_ring_->attachChecker(owner_.dom_.engine().checker(), "ring.netback.rx");
+    // A push wakes the frontend's poller by scheduling on its engine
+    // directly, so both ends must share one: guest datapaths stay on
+    // their shard (Cloud::netbackFor).
+    CHECK(!info.poller ||
+          &info.poller->engine() == &owner_.dom_.engine());
+    tx_ring_->wakeOnPush(info.poller);
+    rx_ring_->wakeOnPush(info.poller);
 
     owner_.dom_.setPortHandler(tx_port_, [this] {
         owner_.dom_.clearPending(tx_port_);

@@ -184,6 +184,10 @@ struct NetConnectInfo
     bool featureGso = false;
     /** Frontend advertises blank-checksum tx (feature-csum-offload). */
     bool featureCsumOffload = false;
+    /** The frontend's response poller: the vif's pushes on both rings
+     *  wake it. It must run on the backend domain's engine (null for a
+     *  frontend that does not poll). */
+    sim::Poller *poller = nullptr;
 };
 
 class Netback
@@ -220,6 +224,10 @@ class Netback
 
         /** The frontend this vif serves. */
         const Domain &frontendDomain() const { return frontend_; }
+
+        /** Drains the tx ring while the frontend transmits: the
+         *  frontend's tx pushes wake it (FrontRing::wakeOnPush). */
+        sim::Poller &txPoller() { return *tx_poller_; }
 
         /**
          * Fault injection: fail the next @p n tx fragment maps, as if

@@ -73,6 +73,8 @@ FrontRing::pushRequests()
     trace::bump(c_req_pushed_, now - old);
     if (check::Checker *ck = liveChecker(checker_))
         ck->ringPublishRequests(check_id_, old, now);
+    if (now != old)
+        wake_.wake();
     // Notify iff the consumer's req_event lies in (old, now].
     return (now - ring_.reqEvent()) < (now - old);
 }
@@ -181,6 +183,8 @@ BackRing::pushResponses()
     trace::bump(c_rsp_pushed_, now - old);
     if (check::Checker *ck = liveChecker(checker_))
         ck->ringPublishResponses(check_id_, old, now);
+    if (now != old)
+        wake_.wake();
     return (now - ring_.rspEvent()) < (now - old);
 }
 

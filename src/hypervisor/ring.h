@@ -24,6 +24,7 @@
 #include "base/cstruct.h"
 #include "base/result.h"
 #include "base/types.h"
+#include "sim/poller.h"
 #include "trace/metrics.h"
 
 namespace mirage::check {
@@ -99,10 +100,18 @@ class FrontRing
     Result<Cstruct> startRequest();
 
     /**
-     * Publish claimed requests to the backend.
+     * Publish claimed requests to the backend, waking its linked
+     * poller (see wakeOnPush).
      * @return true when the backend must be notified.
      */
     bool pushRequests();
+
+    /**
+     * Link the poller that consumes this ring's requests: every push
+     * that publishes something calls its wake(). Null unlinks; the
+     * link also clears itself when either side is destroyed.
+     */
+    void wakeOnPush(sim::Poller *consumer) { wake_.bind(consumer); }
 
     /** Responses published but not yet consumed. */
     u32 unconsumedResponses() const;
@@ -152,6 +161,7 @@ class FrontRing
     SharedRing ring_;
     u32 req_prod_pvt_ = 0;
     u32 rsp_cons_ = 0;
+    sim::PollerLink wake_;
     trace::Counter *c_req_pushed_ = nullptr;
     trace::Counter *c_rsp_taken_ = nullptr;
     check::Checker *checker_ = nullptr;
@@ -170,7 +180,13 @@ class BackRing
     Result<Cstruct> takeRequest();
 
     Result<Cstruct> startResponse();
+    /** Publish responses, waking the linked poller (wakeOnPush).
+     *  @return true when the frontend must be notified. */
     bool pushResponses();
+
+    /** Link the poller that consumes this ring's responses (see
+     *  FrontRing::wakeOnPush). */
+    void wakeOnPush(sim::Poller *consumer) { wake_.bind(consumer); }
 
     /** Re-arm request notifications; true when requests raced in. */
     bool finalCheckForRequests();
@@ -198,6 +214,7 @@ class BackRing
     SharedRing ring_;
     u32 req_cons_ = 0;
     u32 rsp_prod_pvt_ = 0;
+    sim::PollerLink wake_;
     trace::Counter *c_req_taken_ = nullptr;
     trace::Counter *c_rsp_pushed_ = nullptr;
     check::Checker *checker_ = nullptr;

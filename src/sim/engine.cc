@@ -74,9 +74,44 @@ Engine::nextKey()
     return k;
 }
 
+CrossKey
+Engine::scheduleKey()
+{
+    // Root-context scheduling (setup code, no event dispatching) on a
+    // sharded engine draws its key from the *primary* shard's root
+    // counter: setup runs in program order on one thread, so the key
+    // sequence — and with it every derived causal hash — is identical
+    // no matter which shard each domain was placed on.
+    return (!current_ && shards_) ? rootKeyFromSet() : nextKey();
+}
+
+void
+Engine::file(const HeapKey &key)
+{
+    // Which heap only decides where the key sifts; dispatch merges the
+    // two heads under the same order.
+    std::vector<HeapKey> &heap =
+        key.when - now_ <= kNearHorizon ? near_ : far_;
+    heap.push_back(key);
+    std::push_heap(heap.begin(), heap.end(), later);
+}
+
 EventId
 Engine::atKeyed(TimePoint t, const CrossKey &key, u64 flow, u32 pscope,
                 std::function<void()> fn)
+{
+    return schedule(t, key, flow, pscope, nullptr, std::move(fn));
+}
+
+EventId
+Engine::atChain(TimePoint t, KeyChain &chain, std::function<void()> fn)
+{
+    return schedule(t, CrossKey{}, 0, 0, &chain, std::move(fn));
+}
+
+EventId
+Engine::schedule(TimePoint t, const CrossKey &key, u64 flow, u32 pscope,
+                 KeyChain *chain, std::function<void()> fn)
 {
     if (t < now_)
         t = now_; // late scheduling runs as soon as possible
@@ -93,14 +128,11 @@ Engine::atKeyed(TimePoint t, const CrossKey &key, u64 flow, u32 pscope,
     s.pscope = pscope;
     s.hash = key.hash;
     s.flow = flow;
+    s.chain = chain;
+    s.due = t;
     s.fn = std::move(fn);
     live_++;
-    // Which heap only decides where the key sifts; dispatch merges the
-    // two heads under the same order.
-    std::vector<HeapKey> &heap =
-        t - now_ <= kNearHorizon ? near_ : far_;
-    heap.push_back(HeapKey{t, key.strand, key.idx, idx});
-    std::push_heap(heap.begin(), heap.end(), later);
+    file(HeapKey{t, key.strand, key.idx, idx, chain ? 1u : 0u});
     return (u64(s.gen) << 32) | (idx + 1);
 }
 
@@ -109,13 +141,46 @@ Engine::at(TimePoint t, std::function<void()> fn)
 {
     u64 flow = flows_ ? flows_->current() : 0;
     u32 pscope = profiler_ ? profiler_->current() : 0;
-    // Root-context scheduling (setup code, no event dispatching) on a
-    // sharded engine draws its key from the *primary* shard's root
-    // counter: setup runs in program order on one thread, so the key
-    // sequence — and with it every derived causal hash — is identical
-    // no matter which shard each domain was placed on.
-    CrossKey key = (!current_ && shards_) ? rootKeyFromSet() : nextKey();
-    return atKeyed(t, key, flow, pscope, std::move(fn));
+    return atKeyed(t, scheduleKey(), flow, pscope, std::move(fn));
+}
+
+void
+Engine::postpone(EventId id, TimePoint t)
+{
+    Slot *s = slotFor(id);
+    if (!s || s->state != SlotState::Pending)
+        return;
+    CHECK(s->chain && t >= s->due);
+    s->due = t;
+}
+
+const Engine::HeapKey *
+Engine::settleChained(std::vector<HeapKey> &heap)
+{
+    HeapKey key = heap.front();
+    popHeap(heap);
+    Slot &s = slots_[key.slot];
+    if (s.due != key.when) {
+        // Postponed since it was filed: queue it at its due time, with
+        // its key to be taken from the chain there.
+        file(HeapKey{s.due, 0, 0, key.slot, 1});
+        return nullptr;
+    }
+    if (key.provisional) {
+        CrossKey k = s.chain->keyAt(key.when);
+        s.hash = k.hash;
+        key = HeapKey{key.when, k.strand, k.idx, key.slot, 0};
+        // The provisional key sorted first among its instant's events;
+        // the real one must wait for any that order before it.
+        std::vector<HeapKey> *next = headHeap();
+        if (next && next->front().when == key.when &&
+            later(key, next->front())) {
+            file(key);
+            return nullptr;
+        }
+    }
+    settled_ = key;
+    return &settled_;
 }
 
 CrossKey
@@ -156,7 +221,7 @@ bool
 Engine::dispatchOne(bool bounded, TimePoint limit)
 {
     while (std::vector<HeapKey> *heap = headHeap()) {
-        const HeapKey &top = heap->front();
+        HeapKey top = heap->front();
         u32 idx = top.slot;
         if (slots_[idx].state == SlotState::Cancelled) {
             // Reached the cancelled slot: drop all bookkeeping for it.
@@ -165,8 +230,15 @@ Engine::dispatchOne(bool bounded, TimePoint limit)
         }
         if (bounded && top.when > limit)
             return false;
+        if (slots_[idx].chain) {
+            const HeapKey *settled = settleChained(*heap);
+            if (!settled)
+                continue;
+            top = *settled;
+        } else {
+            popHeap(*heap);
+        }
         now_ = top.when;
-        popHeap(*heap);
         Slot &s = slots_[idx];
         // Moved out, not copied: the closure dies when this returns,
         // after the callback and its restored context.
@@ -195,12 +267,18 @@ Engine::dispatchOne(bool bounded, TimePoint limit)
             trace::ProfRestore prof(profiler_, pscope);
             Engine *prev_engine = current_;
             u64 prev_hash = cur_hash_;
+            u64 prev_strand = cur_strand_;
+            u64 prev_idx = cur_idx_;
             u64 prev_child = next_child_;
             current_ = this;
             cur_hash_ = hash;
+            cur_strand_ = top.strand;
+            cur_idx_ = top.idx;
             next_child_ = 0;
             fn();
             cur_hash_ = prev_hash;
+            cur_strand_ = prev_strand;
+            cur_idx_ = prev_idx;
             next_child_ = prev_child;
             current_ = prev_engine;
         }
@@ -253,8 +331,15 @@ TimePoint
 Engine::nextEventTime()
 {
     while (std::vector<HeapKey> *heap = headHeap()) {
-        if (slots_[heap->front().slot].state == SlotState::Cancelled) {
+        const Slot &s = slots_[heap->front().slot];
+        if (s.state == SlotState::Cancelled) {
             dropCancelledTop(*heap);
+            continue;
+        }
+        // A postponed entry re-files, so a shard window never opens at
+        // a due time that has moved on.
+        if (s.chain && s.due != heap->front().when) {
+            settleChained(*heap);
             continue;
         }
         return heap->front().when;

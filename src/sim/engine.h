@@ -20,12 +20,22 @@
  * everything later (protocol timers: RTO, delayed ACK, ARP, TIME_WAIT).
  * Dispatch takes whichever head is least, so the dispatch sequence is
  * exactly that of one heap over the union — the split only decides
- * which heap a key sifts through. A busy appliance re-arms its 1 us
- * poll rounds thousands of times per timer, and those now sift through
- * a handful of near keys instead of the whole timer backlog with its
- * cancelled RTO tombstones. The order itself cannot change: event ids,
- * slot reuse, the moment a cancelled closure dies and every virtual
- * result are pinned by the determinism tests and the repo benchmark.
+ * which heap a key sifts through. A busy appliance's 1 us poll rounds
+ * sift through a handful of near keys instead of the whole timer
+ * backlog with its cancelled RTO tombstones. The order itself cannot
+ * change: event ids, slot reuse, the moment a cancelled closure dies
+ * and every virtual result are pinned by the determinism tests and the
+ * repo benchmark.
+ *
+ * Two kinds of event bend the bookkeeping, never the order. A
+ * *chained* event (atChain) takes its key from a KeyChain when it
+ * reaches the head of the queue rather than when it is scheduled; until
+ * then it waits under a provisional key that sorts first among its
+ * instant's events, and it is re-filed under the real key if a pending
+ * event orders before it. A chained event can also be *postponed*
+ * (postpone) in O(1): the slot records the new due time and the stale
+ * entry re-files when it reaches the head. sim::Poller uses both to
+ * compute its idle rounds instead of running them.
  *
  * The engine is also the attachment point for the observability layer:
  * an optional trace::TraceRecorder and trace::MetricsRegistry hang off
@@ -92,6 +102,59 @@ struct CrossKey
     u64 hash = 0;
 };
 
+/**
+ * The keys of a periodic event that reschedules itself one step later
+ * as its only child: tick 0, due at @c base, has key @c head; tick j
+ * is scheduled by tick j-1 as its first child, so its key is
+ * (h_{j-1}, 0) with h_0 = head.hash and h_j = mixKey(h_{j-1}, 0). A
+ * sim::Poller computes its idle ticks from this instead of running
+ * them; the engine resolves a chained event's key from it lazily
+ * (Engine::atChain).
+ */
+class KeyChain
+{
+  public:
+    /** Restart the chain: tick 0 at @p base with key @p head. */
+    void
+    reset(TimePoint base, Duration step, const CrossKey &head)
+    {
+        base_ = base;
+        step_ = step;
+        head_ = head;
+        memo_ = CrossKey{};
+    }
+
+    TimePoint base() const { return base_; }
+    Duration step() const { return step_; }
+
+    /** Key of the tick due at @p t (a grid point at or after base). */
+    CrossKey
+    keyAt(TimePoint t)
+    {
+        u64 j = u64((t - base_).ns() / step_.ns());
+        if (j == 0)
+            return head_;
+        // Ticks are asked for in rising order within a chain, so walk
+        // on from the last one asked for.
+        if (memo_.idx == 0 || memo_.idx > j)
+            memo_ = CrossKey{head_.hash, 1, mixKey(head_.hash, 0)};
+        while (memo_.idx < j) {
+            memo_.strand = memo_.hash;
+            memo_.hash = mixKey(memo_.hash, 0);
+            memo_.idx++;
+        }
+        return CrossKey{memo_.strand, 0, memo_.hash};
+    }
+
+  private:
+    TimePoint base_;
+    Duration step_ = Duration::nanos(1);
+    CrossKey head_;
+    //! The last tick walked to: idx is its tick number (0 = none yet),
+    //! strand and hash its key's.
+    CrossKey memo_;
+};
+
 class Engine
 {
   public:
@@ -128,11 +191,62 @@ class Engine
                     u32 pscope, std::function<void()> fn);
 
     /**
+     * Schedule tick @p t of @p chain (a grid point). The key is not
+     * computed here: the event is queued under a provisional key that
+     * sorts first among events due at @p t, and its real key is taken
+     * from @p chain when it reaches the head of the queue, where it is
+     * re-filed if another pending event at @p t orders first. So it
+     * dispatches exactly where an event keyed by the chain would, and
+     * a tick that never reaches the head never pays for its key. The
+     * event runs under no flow and the root profiler scope; @p chain
+     * must outlive it, and may be reset while it is pending (the key
+     * is whatever the chain says at resolution).
+     */
+    EventId atChain(TimePoint t, KeyChain &chain, std::function<void()> fn);
+
+    /**
+     * Move pending chained event @p id to the later tick @p t in O(1):
+     * the new due time is stored in its slot, and the stale queue
+     * entry is re-filed when it reaches the head (dispatch or
+     * nextEventTime()). No-op for fired or cancelled ids.
+     */
+    void postpone(EventId id, TimePoint t);
+
+    /**
      * Consume and return the next causal key in the current dispatch
      * context (what the next at() would have used). Cross-shard posts
      * take their key from the sending engine via this.
      */
     CrossKey nextKey();
+
+    /**
+     * Consume and return the key at() would give an event scheduled
+     * now: nextKey(), or on a sharded engine outside dispatch the
+     * primary shard's root key.
+     */
+    CrossKey scheduleKey();
+
+    /** Key of the event this engine is dispatching (zero at root). */
+    CrossKey
+    dispatchingKey() const
+    {
+        return CrossKey{cur_strand_, cur_idx_, cur_hash_};
+    }
+
+    /**
+     * True when an event due at @p t under key @p key would already
+     * have been dispatched: it orders at or before the event this
+     * engine is dispatching, or, outside dispatch, @p t <= now() (every
+     * event due by now has run once runUntil() returns).
+     */
+    bool
+    ranBefore(TimePoint t, const CrossKey &key) const
+    {
+        if (current_ != this || t != now_)
+            return t <= now_;
+        return !later(HeapKey{t, key.strand, key.idx, 0, 0},
+                      HeapKey{now_, cur_strand_, cur_idx_, 0, 0});
+    }
 
     /**
      * Derive a deterministic token from the current dispatch context
@@ -268,6 +382,9 @@ class Engine
         u64 strand; //!< identity hash of the scheduling event
         u64 idx;    //!< sibling index within that dispatch
         u32 slot;   //!< index into slots_
+        //! (strand, idx) is the provisional (0, 0) of a chained event
+        //! whose key is resolved when it reaches the head.
+        u32 provisional;
     };
     static_assert(sizeof(HeapKey) <= 32);
 
@@ -302,6 +419,9 @@ class Engine
         u32 pscope = 0; //!< ambient profiler scope captured at schedule
         u64 hash = 0;   //!< this event's identity (mixKey(strand, idx))
         u64 flow = 0;   //!< ambient FlowId captured at schedule time
+        KeyChain *chain = nullptr; //!< key source of a chained event
+        TimePoint due; //!< chained: due time, later than its entry's
+                       //!< when once postponed
         std::function<void()> fn;
     };
 
@@ -311,6 +431,11 @@ class Engine
      * @return true when an event ran.
      */
     bool dispatchOne(bool bounded, TimePoint limit);
+
+    /** Fill a slot and queue its key (every at*() lands here). */
+    EventId schedule(TimePoint t, const CrossKey &key, u64 flow,
+                     u32 pscope, KeyChain *chain,
+                     std::function<void()> fn);
 
     /** Borrow a root-context key from the shard set's primary. */
     CrossKey rootKeyFromSet();
@@ -325,10 +450,23 @@ class Engine
     static void popHeap(std::vector<HeapKey> &heap);
     /** Pop @p heap's cancelled head and release its slot and closure. */
     void dropCancelledTop(std::vector<HeapKey> &heap);
+    /** Queue @p key in the heap its distance from now() selects. */
+    void file(const HeapKey &key);
+    /**
+     * The head of @p heap is a chained event's entry: pop it and file
+     * it again under its postponed due time, or under its resolved key
+     * when a pending event at its instant orders first.
+     * @return the resolved entry, ready to dispatch, or null when it
+     * was re-filed.
+     */
+    const HeapKey *settleChained(std::vector<HeapKey> &heap);
 
     TimePoint now_;
     u64 cur_hash_ = 0;   //!< identity hash of the dispatching event (0 = root)
+    u64 cur_strand_ = 0; //!< the dispatching event's key (ranBefore)
+    u64 cur_idx_ = 0;
     u64 next_child_ = 0; //!< next sibling index in the current context
+    HeapKey settled_{};  //!< settleChained()'s resolved entry
     u64 events_run_ = 0;
     u64 checksum_ = 0;
     std::vector<HeapKey> near_; //!< min-heap under later(), due soon

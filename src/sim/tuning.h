@@ -69,13 +69,16 @@ struct Tuning
     /**
      * Consumer poll cadence while a ring is busy (sim::Poller). Kept at
      * the upcall latency so polled delivery is no slower than a notify
-     * — the poll replaces the evtchn_send, not the wakeup delay.
+     * — the poll replaces the evtchn_send, not the wakeup delay. Only
+     * the rounds that find work (and the re-arm) run as events; the
+     * idle rounds on this grid are computed.
      */
     Duration pollInterval = Duration::nanos(1000);
 
     /**
      * How long a polled ring may stay quiet before its consumer
-     * re-arms the producer's event and goes idle. Sized to outlast a
+     * re-arms the producer's event and goes idle (at the first round
+     * of the pollInterval grid past it). Sized to outlast a
      * queue-depth-1 device round trip (tens of µs), so a steady stream
      * of single requests keeps the ring in polling mode.
      */

@@ -9,6 +9,7 @@
 #include <compare>
 #include <memory>
 #include <set>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "sim/cost_model.h"
 #include "sim/cpu.h"
 #include "sim/engine.h"
+#include "sim/poller.h"
 
 namespace mirage::sim {
 namespace {
@@ -371,6 +373,406 @@ TEST(EngineTest, HorizonBoundaryTiesFollowCausalKey)
     EXPECT_EQ(c.cancelledBacklog(), 0u) << "the cancelled head is gone";
     c.run();
     EXPECT_EQ(order, (std::vector<int>{3, 2, 1}));
+}
+
+/**
+ * Reference model of sim::Poller: the ticking loop it replaced, kept
+ * as it was. Every round is an event one pollInterval after the last,
+ * until pollIdle passes without activity; the owner's drain returned at
+ * once on an idle round. The differential test below drives it and the
+ * parking Poller with one schedule.
+ *
+ * It also counts the rounds a parking poller must run: a round is
+ * needed when work was published (wake()) or found left over (kick()
+ * or the previous round's end) since the last round, or when it
+ * re-arms. Counting takes no part in the loop itself.
+ */
+class TickingPoller
+{
+  public:
+    TickingPoller(Engine &engine, std::function<bool()> idle,
+                  std::function<bool()> drain, std::function<bool()> rearm)
+        : engine_(engine), idle_(std::move(idle)),
+          drain_([this, drain = std::move(drain)] {
+              return !idle_() && drain();
+          }),
+          rearm_(std::move(rearm))
+    {
+    }
+    ~TickingPoller() { cancel(); }
+
+    void
+    kick()
+    {
+        last_activity_ = engine_.now();
+        if (!scheduled_)
+            schedule();
+        if (!idle_())
+            work_since_round_ = true;
+    }
+
+    /** The ticking loop finds published work on its own. */
+    void
+    wake()
+    {
+        if (scheduled_)
+            work_since_round_ = true;
+    }
+
+    void
+    cancel()
+    {
+        work_since_round_ = false;
+        if (!scheduled_)
+            return;
+        engine_.cancel(event_);
+        scheduled_ = false;
+    }
+
+    bool active() const { return scheduled_; }
+    /** Due time of the pending round (while active). */
+    TimePoint pendingAt() const { return pending_at_; }
+    TimePoint lastFiredAt() const { return fired_at_; }
+    u64 rounds() const { return rounds_; }
+    u64 neededRounds() const { return needed_rounds_; }
+
+  private:
+    void
+    schedule()
+    {
+        scheduled_ = true;
+        pending_at_ = engine_.now() + tuning().pollInterval;
+        event_ = engine_.after(tuning().pollInterval, [this] { fire(); });
+    }
+
+    void
+    fire()
+    {
+        fired_at_ = engine_.now();
+        rounds_++;
+        needed_rounds_ += work_since_round_ ||
+                          engine_.now() - last_activity_ > tuning().pollIdle;
+        scheduled_ = false;
+        if (drain_())
+            last_activity_ = engine_.now();
+        work_since_round_ = !idle_();
+        if (engine_.now() - last_activity_ <= tuning().pollIdle) {
+            schedule();
+            return;
+        }
+        if (rearm_()) {
+            last_activity_ = engine_.now();
+            drain_();
+            work_since_round_ = !idle_();
+            schedule();
+        }
+    }
+
+    Engine &engine_;
+    std::function<bool()> idle_;
+    std::function<bool()> drain_;
+    std::function<bool()> rearm_;
+    TimePoint last_activity_;
+    TimePoint pending_at_;
+    TimePoint fired_at_{-1};
+    EventId event_ = 0;
+    bool scheduled_ = false;
+    u64 rounds_ = 0;
+    u64 needed_rounds_ = 0;
+    bool work_since_round_ = false;
+};
+
+/** One scripted producer action (PollRig). */
+struct PollAction
+{
+    enum Kind
+    {
+        Publish0,
+        Publish1,
+        QueuePush,
+        Credit,
+        Kick,
+        Cancel,
+        Finish,
+    };
+    i64 at = 0;
+    Kind kind = Publish0;
+    u32 n = 1;
+    //! Run from a child of the scheduled event, this many ns later
+    //! (-1: run directly). A zero delay lands on the same instant
+    //! under another key.
+    i64 child_delay = -1;
+};
+
+/** What a drain or re-arm saw, or a producer event's dispatch. */
+struct PollLog
+{
+    i64 when;
+    u64 strand;
+    u64 idx;
+    int what; //!< 0 producer event, 1 drain, 2 re-arm
+    int result;
+    bool operator==(const PollLog &) const = default;
+};
+
+/**
+ * A consumer with two rings and a credit-gated wait queue, polled by
+ * P (TickingPoller or Poller) and driven by a script of producer
+ * actions. The rings notify like Xen's: a publish onto an armed ring
+ * sends one upcall, whose handler drains and kick()s. Ring 0 drains
+ * fully; ring 1 at most two slots a round, so a round can leave work;
+ * the wait queue drains only against credits, so rounds can find work
+ * they cannot take and re-arms can find work that raced in.
+ */
+template <class P> class PollRig
+{
+  public:
+    explicit PollRig(const std::vector<PollAction> &script)
+    {
+        poller = std::make_unique<P>(
+            e, [this] { return idle(); }, [this] { return drain(); },
+            [this] { return rearm(); });
+        for (const PollAction &a : script)
+            e.at(TimePoint(a.at), [this, a] { act(a); });
+    }
+
+    Engine e;
+    std::unique_ptr<P> poller;
+    std::vector<PollLog> log;
+    // Scenario coverage, counted in the reference run.
+    int ties_before = 0; //!< publish at a pending round's instant
+    int ties_after = 0;  //!< publish after the round at its instant
+    int kicks_active = 0;
+    int cancels_active = 0;
+    int rearms = 0;
+    int races = 0;
+
+    bool
+    drained() const
+    {
+        return prod_[0] == cons_[0] && prod_[1] == cons_[1] && queued_ == 0;
+    }
+
+  private:
+    static constexpr bool kRef = std::is_same_v<P, TickingPoller>;
+
+    bool idle() const { return drained(); }
+
+    void
+    note(int what, int result)
+    {
+        CrossKey k = e.dispatchingKey();
+        log.push_back(PollLog{e.now().ns(), k.strand, k.idx, what, result});
+    }
+
+    bool
+    drain()
+    {
+        u32 took = prod_[0] - cons_[0];
+        cons_[0] = prod_[0];
+        u32 b = std::min<u32>(prod_[1] - cons_[1], 2);
+        cons_[1] += b;
+        u32 q = std::min(queued_, credits_);
+        queued_ -= q;
+        credits_ -= q;
+        took += b + q;
+        armed_[0] = armed_[1] = false; // park both events
+        note(1, int(took));
+        return took > 0;
+    }
+
+    bool
+    rearm()
+    {
+        armed_[0] = armed_[1] = true;
+        bool raced = !drained();
+        rearms += kRef;
+        races += kRef && raced;
+        note(2, raced);
+        return raced;
+    }
+
+    void
+    upcall()
+    {
+        e.after(Duration::nanos(700), [this] {
+            note(0, -1);
+            drain();
+            poller->kick();
+        });
+    }
+
+    void
+    publish(int r, u32 n)
+    {
+        if constexpr (kRef) {
+            if (poller->active() && poller->pendingAt() == e.now())
+                ties_before++;
+            if (poller->lastFiredAt() == e.now())
+                ties_after++;
+        }
+        prod_[r] += n;
+        poller->wake();
+        if (armed_[r]) {
+            armed_[r] = false;
+            upcall();
+        }
+    }
+
+    void
+    act(const PollAction &a)
+    {
+        note(0, int(a.kind));
+        if (a.child_delay >= 0) {
+            PollAction direct = a;
+            direct.child_delay = -1;
+            e.after(Duration::nanos(a.child_delay),
+                    [this, direct] { act(direct); });
+            return;
+        }
+        switch (a.kind) {
+        case PollAction::Publish0:
+            publish(0, a.n);
+            break;
+        case PollAction::Publish1:
+            publish(1, a.n);
+            break;
+        case PollAction::QueuePush:
+            queued_ += a.n;
+            poller->wake();
+            break;
+        case PollAction::Credit:
+            credits_ += a.n;
+            break;
+        case PollAction::Kick:
+            if constexpr (kRef)
+                kicks_active += poller->active();
+            poller->kick();
+            break;
+        case PollAction::Cancel:
+            if constexpr (kRef)
+                cancels_active += poller->active();
+            // The owner re-arms its parked events itself.
+            poller->cancel();
+            armed_[0] = armed_[1] = true;
+            if (!drained())
+                upcall();
+            break;
+        case PollAction::Finish:
+            credits_ += 1u << 20;
+            poller->kick();
+            break;
+        }
+    }
+
+    u32 prod_[2]{};
+    u32 cons_[2]{};
+    bool armed_[2]{true, true};
+    u32 queued_ = 0;
+    u32 credits_ = 0;
+};
+
+/** Bursts of actions on a 100 ns grid, quiet gaps between bursts
+ *  both shorter and longer than pollIdle. */
+std::vector<PollAction>
+pollScript(u64 seed)
+{
+    Rng rng(seed);
+    std::vector<PollAction> script;
+    i64 t = 0;
+    for (int burst = 0; burst < 40; burst++) {
+        t += i64(rng.range(2, 300)) * 1000;
+        u64 actions = rng.range(1, 12);
+        for (u64 i = 0; i < actions; i++) {
+            PollAction a;
+            a.at = t + i64(rng.below(200)) * 100;
+            u64 k = rng.below(20);
+            a.kind = k < 6    ? PollAction::Publish0
+                     : k < 11 ? PollAction::Publish1
+                     : k < 14 ? PollAction::QueuePush
+                     : k < 17 ? PollAction::Credit
+                     : k < 19 ? PollAction::Kick
+                              : PollAction::Cancel;
+            a.n = u32(rng.range(1, 4));
+            u64 c = rng.below(4);
+            a.child_delay = c == 0 ? 0 : c == 1 ? i64(rng.below(30)) * 100 : -1;
+            script.push_back(a);
+        }
+    }
+    script.push_back(PollAction{t + 400'000, PollAction::Finish, 0, -1});
+    return script;
+}
+
+TEST(PollerTest, ParkedPollerMatchesTickingReference)
+{
+    int ties_before = 0, ties_after = 0, kicks = 0, cancels = 0;
+    int rearms = 0, races = 0;
+    for (u64 seed = 1; seed <= 24; seed++) {
+        std::vector<PollAction> script = pollScript(seed);
+        PollRig<TickingPoller> ref(script);
+        PollRig<Poller> got(script);
+        ref.e.run();
+        got.e.run();
+        ASSERT_TRUE(ref.drained() && got.drained()) << "seed " << seed;
+        // Every drain and re-arm — whether it did work or not — and
+        // every producer event: same instant, same key, same result.
+        ASSERT_EQ(got.log.size(), ref.log.size()) << "seed " << seed;
+        for (std::size_t i = 0; i < ref.log.size(); i++) {
+            const PollLog &r = ref.log[i];
+            const PollLog &g = got.log[i];
+            ASSERT_TRUE(r == g)
+                << "seed " << seed << " entry " << i << ": ref (" << r.when
+                << ", " << r.strand << ", " << r.idx << ", " << r.what
+                << ", " << r.result << ") got (" << g.when << ", "
+                << g.strand << ", " << g.idx << ", " << g.what << ", "
+                << g.result << ")";
+        }
+        // The parking poller runs exactly the rounds that find work or
+        // re-arm, and no others.
+        EXPECT_EQ(got.e.eventsRun(), ref.e.eventsRun() - ref.poller->rounds() +
+                                         ref.poller->neededRounds())
+            << "seed " << seed;
+        EXPECT_LT(got.e.eventsRun(), ref.e.eventsRun()) << "seed " << seed;
+        EXPECT_TRUE(got.e.empty());
+        ties_before += ref.ties_before;
+        ties_after += ref.ties_after;
+        kicks += ref.kicks_active;
+        cancels += ref.cancels_active;
+        rearms += ref.rearms;
+        races += ref.races;
+    }
+    // The schedules reach every case the parking poller must get
+    // right: publishes on a round's instant ordered before and after
+    // it, kicks and cancels while polling, re-arm ticks reached, and
+    // re-arms that find work raced in.
+    EXPECT_GT(ties_before, 10);
+    EXPECT_GT(ties_after, 10);
+    EXPECT_GT(kicks, 10);
+    EXPECT_GT(cancels, 10);
+    EXPECT_GT(rearms, 40);
+    EXPECT_GT(races, 5);
+}
+
+TEST(PollerTest, LinkClearsWhicheverSideDiesFirst)
+{
+    Engine e;
+    int drains = 0;
+    auto poller = std::make_unique<Poller>(
+        e, [&] { return drains > 0; }, [&] { return ++drains > 0; },
+        [] { return false; });
+    {
+        PollerLink link;
+        link.bind(poller.get());
+        poller->kick();
+        link.wake();
+        e.run();
+        EXPECT_EQ(drains, 1);
+    } // the link dies first: the poller forgets it
+    PollerLink link;
+    link.bind(poller.get());
+    poller.reset(); // the poller dies first: the link is cleared
+    link.wake();
+    EXPECT_TRUE(e.empty());
 }
 
 TEST(CpuTest, SerialisesWork)
