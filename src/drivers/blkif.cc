@@ -216,8 +216,8 @@ Blkif::drainResponses(bool park)
 {
     bool any = false;
     do {
-        while (ring_->unconsumedResponses() > 0) {
-            Cstruct rsp = ring_->takeResponse().value();
+        for (u32 n = ring_->unconsumedResponses(); n > 0; n--) {
+            Cstruct rsp = ring_->nextResponse();
             any = true;
             u64 id = rsp.getLe64(xen::BlkifWire::rspId);
             u8 status = rsp.getU8(xen::BlkifWire::rspStatus);

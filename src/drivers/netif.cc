@@ -424,8 +424,8 @@ Netif::drainTxResponses(bool park)
         boot_.domain().engine().profiler(), "net/netif");
     bool any = false;
     do {
-        while (tx_ring_->unconsumedResponses() > 0) {
-            Cstruct rsp = tx_ring_->takeResponse().value();
+        for (u32 n = tx_ring_->unconsumedResponses(); n > 0; n--) {
+            Cstruct rsp = tx_ring_->nextResponse();
             any = true;
             u16 id = rsp.getLe16(xen::NetifWire::txrspId);
             u8 status = rsp.getU8(xen::NetifWire::txrspStatus);
@@ -485,8 +485,8 @@ Netif::drainRxResponses(bool park)
         boot_.domain().engine().profiler(), "net/netif");
     bool delivered = false;
     do {
-        while (rx_ring_->unconsumedResponses() > 0) {
-            Cstruct rsp = rx_ring_->takeResponse().value();
+        for (u32 n = rx_ring_->unconsumedResponses(); n > 0; n--) {
+            Cstruct rsp = rx_ring_->nextResponse();
             u16 id = rsp.getLe16(xen::NetifWire::rxrspId);
             u16 len = rsp.getLe16(xen::NetifWire::rxrspLen);
             u8 status = rsp.getU8(xen::NetifWire::rxrspStatus);

@@ -90,6 +90,13 @@ FrontRing::takeResponse()
 {
     if (unconsumedResponses() == 0)
         return exhaustedError("no responses");
+    return nextResponse();
+}
+
+Cstruct
+FrontRing::nextResponse()
+{
+    DCHECK(unconsumedResponses() > 0);
     if (check::Checker *ck = liveChecker(checker_))
         ck->ringConsumeResponse(check_id_, rsp_cons_, ring_.rspProd());
     Cstruct s = ring_.slot(rsp_cons_);

@@ -113,11 +113,20 @@ class FrontRing
      */
     void wakeOnPush(sim::Poller *consumer) { wake_.bind(consumer); }
 
-    /** Responses published but not yet consumed. */
+    /** Responses published but not yet consumed (one read of the
+     *  shared rsp_prod). */
     u32 unconsumedResponses() const;
 
-    /** Consume the next response slot. */
+    /** Consume the next response slot, if one is published. */
     Result<Cstruct> takeResponse();
+
+    /**
+     * Consume the next of the responses an unconsumedResponses() call
+     * counted, without reading rsp_prod again: a drain pass reads the
+     * producer index once and takes that many (Xen's RING_GET_RESPONSE
+     * loop up to one snapshot of rsp_prod).
+     */
+    Cstruct nextResponse();
 
     /**
      * Re-arm notifications after draining: sets rsp_event and re-checks
