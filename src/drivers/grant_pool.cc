@@ -116,9 +116,7 @@ GrantPool::pageFree(const PooledPage &p) const
     // borrower — a tx fragment awaiting its ack, a posted rx buffer, a
     // stack-held rx view, an in-flight block request — adds a
     // reference and keeps the page busy.
-    long expected =
-        2 + long(boot_.domain().grantTable().mapCountOf(p.gref));
-    return p.page.buffer().use_count() == expected;
+    return p.page.buffer().use_count() == 2 + long(*p.map_count);
 }
 
 std::size_t
@@ -167,14 +165,14 @@ GrantPool::acquirePage()
         return page;
     // Writable grant: the same pooled page may carry a tx frame now
     // and an rx fill or block read later.
-    xen::GrantRef gref = boot_.domain().grantTable().grantAccess(
-        backend_, page.value(), false);
+    xen::GrantTable &gt = boot_.domain().grantTable();
+    xen::GrantRef gref = gt.grantAccess(backend_, page.value(), false);
     boot_.domain().vcpu().charge(sim::costs().grantIssue, "grant.issue",
                                  trace::Cat::Hypervisor);
     issued_++;
     trace::bump(c_issued_);
     page_index_.emplace(page.value().buffer().get(), pages_.size());
-    pages_.push_back(PooledPage{page.value(), gref});
+    pages_.push_back(PooledPage{page.value(), gref, gt.mapCountAt(gref)});
     if (returned_.size() * 64 < pages_.size())
         returned_.push_back(0);
     return leased(pages_.size() - 1);
@@ -287,7 +285,7 @@ GrantPool::drain()
     drained_ = true;
     xen::GrantTable &gt = boot_.domain().grantTable();
     for (const PooledPage &p : pages_) {
-        if (gt.mapCountOf(p.gref) > 0)
+        if (*p.map_count > 0)
             continue; // backend never disconnected; releaseAll handles it
         if (Status st = gt.endAccess(p.gref); !st.ok())
             warn("grant pool: drain endAccess: %s",

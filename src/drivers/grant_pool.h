@@ -130,6 +130,9 @@ class GrantPool
     {
         Cstruct page;
         xen::GrantRef gref;
+        //! The grant's live map count (GrantTable::mapCountAt): the
+        //! pool's grant outlives its entry in pages_ (drain ends both).
+        const u32 *map_count;
     };
 
     struct Registered

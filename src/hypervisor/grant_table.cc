@@ -131,8 +131,15 @@ GrantTable::markRegistry(GrantRef ref)
 u32
 GrantTable::mapCountOf(GrantRef ref) const
 {
+    const u32 *count = mapCountAt(ref);
+    return count ? *count : 0;
+}
+
+const u32 *
+GrantTable::mapCountAt(GrantRef ref) const
+{
     auto it = entries_.find(ref);
-    return it == entries_.end() ? 0 : it->second.mapCount;
+    return it == entries_.end() ? nullptr : &it->second.mapCount;
 }
 
 std::size_t

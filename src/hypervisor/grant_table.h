@@ -72,6 +72,15 @@ class GrantTable
     u32 mapCountOf(GrantRef ref) const;
 
     /**
+     * Where live grant @p ref keeps its map count, for a reader that
+     * tests it on a hot path without a lookup (the grant pool's free
+     * test), or null for an unknown ref. Entries are hash-map nodes,
+     * so the address holds until the grant ends (endAccess,
+     * releaseAll).
+     */
+    const u32 *mapCountAt(GrantRef ref) const;
+
+    /**
      * Mark @p ref as a registry grant (drivers::GrantPool's registered
      * buffers). The table counts marked grants its peer has no mapping
      * of; only those can be evicted from the registry, so the pool's
