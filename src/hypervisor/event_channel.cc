@@ -92,17 +92,6 @@ EventChannelHub::closeAllFor(Domain &dom)
     return n;
 }
 
-std::size_t
-EventChannelHub::openChannels() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    std::size_t n = 0;
-    for (const auto &ch : channels_)
-        if (ch.open)
-            n++;
-    return n;
-}
-
 Status
 EventChannelHub::notify(Domain &dom, Port port)
 {

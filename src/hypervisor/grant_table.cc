@@ -142,14 +142,4 @@ GrantTable::mapCountAt(GrantRef ref) const
     return it == entries_.end() ? nullptr : &it->second.mapCount;
 }
 
-std::size_t
-GrantTable::mappedGrants() const
-{
-    std::size_t n = 0;
-    for (const auto &[ref, e] : entries_)
-        if (e.mapCount > 0)
-            n++;
-    return n;
-}
-
 } // namespace mirage::xen

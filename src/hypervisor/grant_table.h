@@ -60,9 +60,6 @@ class GrantTable
     /** Number of currently active (not ended) grants. */
     std::size_t activeGrants() const { return entries_.size(); }
 
-    /** Grants that are currently mapped by the peer. */
-    std::size_t mappedGrants() const;
-
     /**
      * Times @p ref is currently mapped by its peer (0 when unknown).
      * The grant pool uses this to tell a free pooled page (only the
