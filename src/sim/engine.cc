@@ -154,17 +154,17 @@ Engine::postpone(EventId id, TimePoint t)
     s->due = t;
 }
 
-const Engine::HeapKey *
-Engine::settleChained(std::vector<HeapKey> &heap)
+bool
+Engine::settleChained(std::vector<HeapKey> &heap, HeapKey &key)
 {
-    HeapKey key = heap.front();
+    key = heap.front();
     popHeap(heap);
     Slot &s = slots_[key.slot];
     if (s.due != key.when) {
         // Postponed since it was filed: queue it at its due time, with
         // its key to be taken from the chain there.
         file(HeapKey{s.due, 0, 0, key.slot, 1});
-        return nullptr;
+        return false;
     }
     if (key.provisional) {
         CrossKey k = s.chain->keyAt(key.when);
@@ -176,11 +176,10 @@ Engine::settleChained(std::vector<HeapKey> &heap)
         if (next && next->front().when == key.when &&
             later(key, next->front())) {
             file(key);
-            return nullptr;
+            return false;
         }
     }
-    settled_ = key;
-    return &settled_;
+    return true;
 }
 
 CrossKey
@@ -231,10 +230,8 @@ Engine::dispatchOne(bool bounded, TimePoint limit)
         if (bounded && top.when > limit)
             return false;
         if (slots_[idx].chain) {
-            const HeapKey *settled = settleChained(*heap);
-            if (!settled)
+            if (!settleChained(*heap, top))
                 continue;
-            top = *settled;
         } else {
             popHeap(*heap);
         }
@@ -339,7 +336,8 @@ Engine::nextEventTime()
         // A postponed entry re-files, so a shard window never opens at
         // a due time that has moved on.
         if (s.chain && s.due != heap->front().when) {
-            settleChained(*heap);
+            HeapKey stale;
+            settleChained(*heap, stale);
             continue;
         }
         return heap->front().when;

@@ -121,7 +121,7 @@ class KeyChain
         base_ = base;
         step_ = step;
         head_ = head;
-        memo_ = CrossKey{};
+        walked_ = 0;
     }
 
     TimePoint base() const { return base_; }
@@ -136,23 +136,24 @@ class KeyChain
             return head_;
         // Ticks are asked for in rising order within a chain, so walk
         // on from the last one asked for.
-        if (memo_.idx == 0 || memo_.idx > j)
-            memo_ = CrossKey{head_.hash, 1, mixKey(head_.hash, 0)};
-        while (memo_.idx < j) {
-            memo_.strand = memo_.hash;
-            memo_.hash = mixKey(memo_.hash, 0);
-            memo_.idx++;
+        if (walked_ == 0 || walked_ > j) {
+            walked_ = 0;
+            walked_hash_ = head_.hash;
         }
-        return CrossKey{memo_.strand, 0, memo_.hash};
+        for (; walked_ < j; walked_++) {
+            walked_strand_ = walked_hash_;
+            walked_hash_ = mixKey(walked_hash_, 0);
+        }
+        return CrossKey{walked_strand_, 0, walked_hash_};
     }
 
   private:
     TimePoint base_;
     Duration step_ = Duration::nanos(1);
     CrossKey head_;
-    //! The last tick walked to: idx is its tick number (0 = none yet),
-    //! strand and hash its key's.
-    CrossKey memo_;
+    u64 walked_ = 0;        //!< last tick walked to (0: none yet)
+    u64 walked_strand_ = 0; //!< its key: (walked_strand_, 0)
+    u64 walked_hash_ = 0;   //!< and hash h_{walked_}
 };
 
 class Engine
@@ -453,20 +454,20 @@ class Engine
     /** Queue @p key in the heap its distance from now() selects. */
     void file(const HeapKey &key);
     /**
-     * The head of @p heap is a chained event's entry: pop it and file
-     * it again under its postponed due time, or under its resolved key
-     * when a pending event at its instant orders first.
-     * @return the resolved entry, ready to dispatch, or null when it
-     * was re-filed.
+     * The head of @p heap is a chained event's entry: pop it into
+     * @p key and file it again under its postponed due time, or under
+     * its resolved key when a pending event at its instant orders
+     * first.
+     * @return true when @p key holds the resolved entry, ready to
+     * dispatch; false when it was re-filed.
      */
-    const HeapKey *settleChained(std::vector<HeapKey> &heap);
+    bool settleChained(std::vector<HeapKey> &heap, HeapKey &key);
 
     TimePoint now_;
     u64 cur_hash_ = 0;   //!< identity hash of the dispatching event (0 = root)
     u64 cur_strand_ = 0; //!< the dispatching event's key (ranBefore)
     u64 cur_idx_ = 0;
     u64 next_child_ = 0; //!< next sibling index in the current context
-    HeapKey settled_{};  //!< settleChained()'s resolved entry
     u64 events_run_ = 0;
     u64 checksum_ = 0;
     std::vector<HeapKey> near_; //!< min-heap under later(), due soon
