@@ -236,8 +236,7 @@ Netback::Vif::Vif(Netback &owner, const NetConnectInfo &info)
     // A push wakes the frontend's poller by scheduling on its engine
     // directly, so both ends must share one: guest datapaths stay on
     // their shard (Cloud::netbackFor).
-    CHECK(!info.poller ||
-          &info.poller->engine() == &owner_.dom_.engine());
+    CHECK(info.poller && &info.poller->engine() == &owner_.dom_.engine());
     tx_ring_->wakeOnPush(info.poller);
     rx_ring_->wakeOnPush(info.poller);
 

@@ -185,8 +185,7 @@ struct NetConnectInfo
     /** Frontend advertises blank-checksum tx (feature-csum-offload). */
     bool featureCsumOffload = false;
     /** The frontend's response poller: the vif's pushes on both rings
-     *  wake it. It must run on the backend domain's engine (null for a
-     *  frontend that does not poll). */
+     *  wake it. It must run on the backend domain's engine. */
     sim::Poller *poller = nullptr;
 };
 

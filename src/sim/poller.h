@@ -178,7 +178,8 @@ class Poller
     }
 
     /** Put the re-arm tick on the first round more than pollIdle after
-     *  the last activity. */
+     *  the last activity. It only ever moves later: the last activity
+     *  only moves later, and a rebase keeps the grid. */
     void
     placeDeadline()
     {
@@ -187,11 +188,6 @@ class Poller
         TimePoint at = chain_.base();
         if (past >= 0)
             at = at + step * (past / step.ns() + 1);
-        if (deadline_ && at < deadline_at_) {
-            // Only a retuned cadence moves it earlier.
-            engine_.cancel(deadline_);
-            deadline_ = 0;
-        }
         if (deadline_) {
             if (at != deadline_at_)
                 engine_.postpone(deadline_, at);
