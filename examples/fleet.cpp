@@ -291,7 +291,7 @@ main(int argc, char **argv)
             wp.windows() > 0 &&
             cloud.hub().fleetJson().find("\"shards\":") !=
                 std::string::npos &&
-            cloud.hub().toPrometheus().find("shard_busy_ns{") !=
+            cloud.hub().metricsText().find("shard_busy_ns{") !=
                 std::string::npos;
     }
 

@@ -161,6 +161,7 @@ main(int argc, char **argv)
         appliance.stack, 80,
         http::withTelemetry(
             &cloud.metrics(), &cloud.flows(), &cloud.profiler(),
+            /*hub=*/nullptr,
             [&](const http::HttpRequest &req,
                 http::HttpServer::Responder respond) {
                 if (req.method == "POST" &&

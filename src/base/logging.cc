@@ -9,7 +9,7 @@ namespace mirage {
 
 namespace {
 
-LogLevel g_min_level = LogLevel::Warn;
+constexpr LogLevel kMinLevel = LogLevel::Warn;
 std::function<void()> g_panic_hook;
 bool g_in_panic_hook = false;
 
@@ -42,21 +42,9 @@ levelName(LogLevel l)
 } // namespace
 
 void
-setLogLevel(LogLevel min_level)
-{
-    g_min_level = min_level;
-}
-
-LogLevel
-logLevel()
-{
-    return g_min_level;
-}
-
-void
 logf(LogLevel level, const char *fmt, ...)
 {
-    if (level < g_min_level)
+    if (level < kMinLevel)
         return;
     va_list ap;
     va_start(ap, fmt);
@@ -66,22 +54,8 @@ logf(LogLevel level, const char *fmt, ...)
 }
 
 void
-inform(const char *fmt, ...)
-{
-    if (LogLevel::Info < g_min_level)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vstrprintf(fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "[info] %s\n", msg.c_str());
-}
-
-void
 warn(const char *fmt, ...)
 {
-    if (LogLevel::Warn < g_min_level)
-        return;
     va_list ap;
     va_start(ap, fmt);
     std::string msg = vstrprintf(fmt, ap);

@@ -2,7 +2,7 @@
  * @file
  * Status and error reporting in the gem5 style: panic() for internal
  * invariant violations, fatal() for unrecoverable user/configuration
- * errors, warn()/inform() for advisories.
+ * errors, warn() for advisories.
  */
 
 #ifndef MIRAGE_BASE_LOGGING_H
@@ -17,19 +17,10 @@ namespace mirage {
 /** Severity of a log line. */
 enum class LogLevel { Debug, Info, Warn, Error };
 
-/**
- * Minimum severity that is actually printed. Tests and benches raise this
- * to keep output quiet.
- */
-void setLogLevel(LogLevel min_level);
-LogLevel logLevel();
-
-/** Emit one formatted line if @p level passes the filter. */
+/** Emit one formatted line if @p level is Warn or above. */
 void logf(LogLevel level, const char *fmt, ...)
     __attribute__((format(printf, 2, 3)));
 
-/** Informative message; normal operation. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 /** Something may be wrong but execution can continue. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 /**

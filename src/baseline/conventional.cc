@@ -21,13 +21,6 @@ SyscallLayer::chargeSend(std::size_t bytes)
 }
 
 void
-SyscallLayer::chargeSyscall()
-{
-    dom_.vcpu().charge(sim::costs().syscall);
-    syscalls_++;
-}
-
-void
 SyscallLayer::chargeProcessWake()
 {
     dom_.vcpu().charge(sim::costs().processSwitch);
@@ -38,41 +31,6 @@ SyscallLayer::chargeSelect()
 {
     dom_.vcpu().charge(sim::costs().selectDispatch);
     syscalls_++;
-}
-
-std::unique_ptr<LinuxGuest>
-startLinuxGuest(core::Cloud &cloud, const std::string &name,
-                net::Ipv4Addr ip, std::size_t memory_mib,
-                unsigned vcpus)
-{
-    core::Guest &g =
-        cloud.startGuest(name, xen::GuestKind::LinuxMinimal, ip,
-                         memory_mib, vcpus, /*cpu_factor=*/1.0);
-    return std::make_unique<LinuxGuest>(g);
-}
-
-void
-userspaceUdpService(LinuxGuest &lg, u16 port,
-                    std::function<Cstruct(const net::UdpDatagram &)>
-                        handler)
-{
-    Status st = lg.stack().udp().listen(
-        port,
-        [&lg, handler = std::move(handler)](
-            const net::UdpDatagram &dgram) {
-            // Kernel hands the datagram to the waiting process.
-            lg.sys.chargeSelect();
-            lg.sys.chargeProcessWake();
-            lg.sys.chargeRecv(dgram.payload.length());
-            Cstruct reply = handler(dgram);
-            if (reply.empty())
-                return;
-            lg.sys.chargeSend(reply.length());
-            lg.stack().udp().sendTo(dgram.srcIp, dgram.srcPort,
-                                    dgram.dstPort, {reply});
-        });
-    if (!st.ok())
-        fatal("userspaceUdpService: %s", st.error().message.c_str());
 }
 
 } // namespace mirage::baseline

@@ -29,8 +29,6 @@ class SyscallLayer
     void chargeRecv(std::size_t bytes);
     /** send(2)-style: syscall + copy user→kernel. */
     void chargeSend(std::size_t bytes);
-    /** A bare syscall (poll, accept, fcntl...). */
-    void chargeSyscall();
     /** Waking and dispatching a userspace process/thread. */
     void chargeProcessWake();
     /** One select/epoll dispatch round. */
@@ -59,20 +57,6 @@ struct LinuxGuest
     net::NetworkStack &stack() { return guest.stack; }
     xen::Domain &dom() { return guest.dom; }
 };
-
-/** Provision a Linux-model guest on a cloud (kernel-speed stack). */
-std::unique_ptr<LinuxGuest>
-startLinuxGuest(core::Cloud &cloud, const std::string &name,
-                net::Ipv4Addr ip, std::size_t memory_mib = 256,
-                unsigned vcpus = 1);
-
-/**
- * Userspace UDP echo-style service: wraps a datagram handler with the
- * boundary costs (recv copy in, process wake, send copy out).
- */
-void userspaceUdpService(
-    LinuxGuest &lg, u16 port,
-    std::function<Cstruct(const net::UdpDatagram &)> handler);
 
 } // namespace mirage::baseline
 

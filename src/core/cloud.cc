@@ -35,12 +35,12 @@ Cloud::Cloud(const Config &cfg)
     flows_.enable();
     profiler_.attach(&tracer_, &metrics_);
     engine_.setProfiler(&profiler_);
-    boots_.attach(&tracer_, &metrics_);
+    boots_.attach(&tracer_, metrics_);
     boots_.enable();
     engine_.setBoots(&boots_);
     // Completed flows fan out from one finalize hook: the SLO tracker
-    // scores each against its kind's objective, the hub folds it into
-    // the serving domain's fleet aggregate.
+    // scores each against its kind's objective, the hub records it
+    // under the serving domain's fleet series.
     flows_.setFinalizeHook([this](const trace::FlowTracker::Flow &f) {
         slo_.record(f.kind, u64(f.end_ns - f.start_ns), f.failed,
                     TimePoint(f.end_ns));
@@ -53,7 +53,7 @@ Cloud::Cloud(const Config &cfg)
             (void)kind;
             profiler_.alert("slo_burn", detail);
         });
-    hub_.attach(&profiler_, &flows_, &boots_, &slo_, &metrics_);
+    hub_.attach(&profiler_, &boots_, &slo_, metrics_);
     // The wall profiler rides on the ShardSet (it observes the worker
     // threads); the hub only renders it, so a const borrow suffices.
     hub_.attachWall(&shards_.wallprof());

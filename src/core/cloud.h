@@ -124,8 +124,8 @@ class Cloud
     /**
      * The boot-phase tracker, attached to the engine and enabled by
      * default: every toolstack boot decomposes into named phase spans
-     * and `boot.<phase>_ns` histograms, and the serving stack closes
-     * the loop with the first-request phase.
+     * and the `boot.phase_ns{phase}` histogram family, and the serving
+     * stack closes the loop with the first-request phase.
      */
     trace::BootTracker &boots() { return boots_; }
 
@@ -140,8 +140,8 @@ class Cloud
     /**
      * The dom0 telemetry hub: per-domain and fleet-wide rollups
      * (request counts, histogram-merged latency quantiles, CPU, boot
-     * phases, SLO state). Serve it with the 5-argument withTelemetry()
-     * overload to expose `GET /fleet`.
+     * phases, SLO state). Pass it to http::withTelemetry() to expose
+     * `GET /fleet`.
      */
     trace::TelemetryHub &hub() { return hub_; }
 

@@ -23,15 +23,11 @@ Vchan::Vchan(Domain &a, Domain &b) : a_(a), b_(b)
     port_b_ = pb;
     a.setPortHandler(pa, [this] {
         a_.clearPending(port_a_);
-        if (end_a_->data_cb_ && b_to_a_.used() > 0)
-            end_a_->data_cb_();
         if (end_a_->space_cb_ && a_to_b_.space() > 0)
             end_a_->space_cb_();
     });
     b.setPortHandler(pb, [this] {
         b_.clearPending(port_b_);
-        if (end_b_->data_cb_ && a_to_b_.used() > 0)
-            end_b_->data_cb_();
         if (end_b_->space_cb_ && b_to_a_.space() > 0)
             end_b_->space_cb_();
     });
@@ -45,12 +41,6 @@ Vchan::notifyPeer(bool from_a, bool)
         a_.hypervisor().events().notify(a_, port_a_);
     else
         b_.hypervisor().events().notify(b_, port_b_);
-}
-
-std::size_t
-VchanEndpoint::writeSpace() const
-{
-    return owner_.txRing(is_a_).space();
 }
 
 std::size_t
@@ -102,12 +92,6 @@ VchanEndpoint::read(std::size_t max)
     if (was_full && n > 0)
         owner_.notifyPeer(is_a_, false);
     return out;
-}
-
-void
-VchanEndpoint::onDataAvailable(std::function<void()> fn)
-{
-    data_cb_ = std::move(fn);
 }
 
 void

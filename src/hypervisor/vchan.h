@@ -27,9 +27,6 @@ class Vchan;
 class VchanEndpoint
 {
   public:
-    /** Bytes that can be written without blocking. */
-    std::size_t writeSpace() const;
-
     /** Bytes waiting to be read. */
     std::size_t readAvailable() const;
 
@@ -42,9 +39,6 @@ class VchanEndpoint
 
     /** Read up to @p max bytes into a fresh view (copy out of ring). */
     Cstruct read(std::size_t max);
-
-    /** Invoked when data arrives while the receive ring was empty. */
-    void onDataAvailable(std::function<void()> fn);
 
     /** Invoked when space opens up after the send ring was full. */
     void onSpaceAvailable(std::function<void()> fn);
@@ -61,7 +55,6 @@ class VchanEndpoint
     Vchan &owner_;
     Domain &dom_;
     bool is_a_;
-    std::function<void()> data_cb_;
     std::function<void()> space_cb_;
 };
 
@@ -98,7 +91,6 @@ class Vchan
     Vchan(Domain &a, Domain &b);
 
     Ring &txRing(bool from_a) { return from_a ? a_to_b_ : b_to_a_; }
-    VchanEndpoint &peerOf(bool is_a) { return is_a ? *end_b_ : *end_a_; }
 
     void notifyPeer(bool from_a, bool data_side);
 

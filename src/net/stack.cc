@@ -91,12 +91,6 @@ NetworkStack::packetCost() const
 }
 
 void
-NetworkStack::chargePacket(std::size_t)
-{
-    domain().vcpu().charge(packetCost(), "net.packet", trace::Cat::Net);
-}
-
-void
 NetworkStack::chargeChecksum(std::size_t bytes)
 {
     Duration cost = Duration(i64(double(sim::costs().checksum(bytes).ns()) *

@@ -95,7 +95,6 @@ class NetworkStack
 
     // ---- Cost charging ----------------------------------------------------
     Duration packetCost() const;
-    void chargePacket(std::size_t bytes);
     void chargeChecksum(std::size_t bytes);
 
     u64 framesIn() const { return frames_in_; }

@@ -612,12 +612,6 @@ TcpConnection::sendAck()
     sendSegment(TcpFlags::ack, snd_nxt_, {});
 }
 
-void
-TcpConnection::sendRst()
-{
-    sendSegment(TcpFlags::rst | TcpFlags::ack, snd_nxt_, {});
-}
-
 // ---- Timers -------------------------------------------------------------------
 
 void

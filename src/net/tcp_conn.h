@@ -89,7 +89,6 @@ class TcpConnection : public Flow,
     const Stats &stats() const { return stats_; }
     u32 cwnd() const { return cwnd_; }
     u32 ssthresh() const { return ssthresh_; }
-    Duration currentRto() const { return rto_; }
     /** Peer-advertised send window, in bytes (post-scaling). */
     u64 sndWnd() const { return snd_wnd_; }
 
@@ -107,7 +106,6 @@ class TcpConnection : public Flow,
     void segmentInput(const TcpSegment &seg);
     void handleAck(const TcpSegment &seg);
     void handleData(const TcpSegment &seg);
-    void deliverInOrder();
 
     void trySend();
     /** Both the per-stack config and the global tuning switch agree
@@ -131,7 +129,6 @@ class TcpConnection : public Flow,
      */
     void retransmitFront();
     void sendAck();
-    void sendRst();
 
     void armRto();
     void cancelRto();

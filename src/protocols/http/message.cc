@@ -91,10 +91,8 @@ serialiseRequest(const HttpRequest &req)
     return Cstruct::ofString(out);
 }
 
-namespace {
-
-std::string
-responseHeadString(const HttpResponse &rsp)
+Cstruct
+serialiseResponseHead(const HttpResponse &rsp)
 {
     std::string out = "HTTP/1.1 " + std::to_string(rsp.status) + " " +
                       rsp.reason + "\r\n";
@@ -104,27 +102,7 @@ responseHeadString(const HttpResponse &rsp)
         out += "Content-Length: " + std::to_string(rsp.bodyLength()) +
                "\r\n";
     out += "\r\n";
-    return out;
-}
-
-} // namespace
-
-Cstruct
-serialiseResponse(const HttpResponse &rsp)
-{
-    std::string out = responseHeadString(rsp);
-    if (rsp.bodyFrags.empty())
-        out += rsp.body;
-    else
-        for (const auto &f : rsp.bodyFrags)
-            out += f.toString();
     return Cstruct::ofString(out);
-}
-
-Cstruct
-serialiseResponseHead(const HttpResponse &rsp)
-{
-    return Cstruct::ofString(responseHeadString(rsp));
 }
 
 namespace {

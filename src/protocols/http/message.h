@@ -62,7 +62,6 @@ struct HttpResponse
 
 /** Serialise (Content-Length added automatically). */
 Cstruct serialiseRequest(const HttpRequest &req);
-Cstruct serialiseResponse(const HttpResponse &rsp);
 /** Status line + headers + blank line only — the body (string or
  *  views) is written separately on the zero-copy path. */
 Cstruct serialiseResponseHead(const HttpResponse &rsp);

@@ -10,21 +10,6 @@
 namespace mirage::http {
 
 HttpServer::Handler
-withTelemetry(trace::MetricsRegistry *metrics,
-              trace::FlowTracker *flows, HttpServer::Handler app)
-{
-    return withTelemetry(metrics, flows, nullptr, std::move(app));
-}
-
-HttpServer::Handler
-withTelemetry(trace::MetricsRegistry *metrics, trace::FlowTracker *flows,
-              trace::Profiler *profiler, HttpServer::Handler app)
-{
-    return withTelemetry(metrics, flows, profiler, nullptr,
-                         std::move(app));
-}
-
-HttpServer::Handler
 withTelemetry(trace::MetricsRegistry *metrics, trace::FlowTracker *flows,
               trace::Profiler *profiler, trace::TelemetryHub *hub,
               HttpServer::Handler app)
@@ -39,9 +24,7 @@ withTelemetry(trace::MetricsRegistry *metrics, trace::FlowTracker *flows,
             HttpResponse rsp;
             rsp.headers["Content-Type"] =
                 "text/plain; version=0.0.4; charset=utf-8";
-            rsp.body = metrics->toPrometheus();
-            if (hub)
-                rsp.body += hub->toPrometheus();
+            rsp.body = hub ? hub->metricsText() : metrics->toPrometheus();
             respond(std::move(rsp));
             return;
         }

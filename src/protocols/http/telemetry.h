@@ -22,33 +22,21 @@ class TelemetryHub;
 namespace mirage::http {
 
 /**
- * Wrap @p app so GET /metrics serves @p metrics in Prometheus text
- * exposition format (version 0.0.4) and GET /flows serves @p flows's
- * recent completed flows as JSON. Every other request is delegated to
- * @p app unchanged. Either source may be null — its endpoint then
- * answers 503.
- */
-HttpServer::Handler withTelemetry(trace::MetricsRegistry *metrics,
-                                  trace::FlowTracker *flows,
-                                  HttpServer::Handler app);
-
-/**
- * As above, and GET /top additionally serves @p profiler's xentop-style
- * per-domain snapshot (run/steal/blocked time, notify rates, ring
- * high-water marks, GC pause quantiles) as JSON.
- */
-HttpServer::Handler withTelemetry(trace::MetricsRegistry *metrics,
-                                  trace::FlowTracker *flows,
-                                  trace::Profiler *profiler,
-                                  HttpServer::Handler app);
-
-/**
- * As above, and GET /fleet additionally serves @p hub's fleet rollup
- * (per-domain request counts and latency quantiles, the
- * histogram-merged fleet-wide distribution, boot-phase breakdown and
- * SLO burn-rate state) as JSON; /metrics also appends the hub's
- * per-domain `fleet_*` series with `domain` labels. This is the dom0
- * monitor-appliance wrapper.
+ * Wrap @p app so the appliance serves its own telemetry; every other
+ * request is delegated to @p app unchanged. Any source may be null —
+ * its endpoint then answers 503.
+ *
+ *   GET /metrics  Prometheus text exposition (format 0.0.4) of
+ *                 @p metrics — with a @p hub, the hub's metricsText()
+ *                 (its registry plus the sharded engine's wall series)
+ *   GET /flows    @p flows's recent completed flows as JSON
+ *   GET /top      @p profiler's xentop-style per-domain snapshot
+ *                 (run/steal/blocked time, notify rates, ring
+ *                 high-water marks, GC pause quantiles) as JSON
+ *   GET /fleet    @p hub's fleet rollup (per-domain request counts and
+ *                 latency quantiles, the histogram-merged fleet-wide
+ *                 distribution, boot-phase breakdown and SLO burn-rate
+ *                 state) as JSON — the dom0 monitor appliance
  */
 HttpServer::Handler withTelemetry(trace::MetricsRegistry *metrics,
                                   trace::FlowTracker *flows,

@@ -224,12 +224,6 @@ buildHello(u32 xid)
 }
 
 Cstruct
-buildEchoRequest(u32 xid)
-{
-    return makeMessage(MsgType::EchoRequest, xid, 0);
-}
-
-Cstruct
 buildEchoReply(u32 xid)
 {
     return makeMessage(MsgType::EchoReply, xid, 0);

@@ -126,7 +126,6 @@ Result<FeaturesReply> parseFeaturesReply(const Cstruct &msg);
 // ---- Builders --------------------------------------------------------------
 
 Cstruct buildHello(u32 xid);
-Cstruct buildEchoRequest(u32 xid);
 Cstruct buildEchoReply(u32 xid);
 Cstruct buildFeaturesRequest(u32 xid);
 Cstruct buildFeaturesReply(u32 xid, u64 dpid, u32 n_buffers,

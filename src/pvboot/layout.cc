@@ -68,14 +68,4 @@ buildLayout(xen::PageTables &pt, const LayoutSpec &spec)
     return updates;
 }
 
-LayoutRegions
-regionsOf(const LayoutSpec &spec)
-{
-    return LayoutRegions{
-        LayoutMap::ioVpn,        spec.ioPages,
-        LayoutMap::minorHeapVpn, spec.minorHeapPages,
-        LayoutMap::majorHeapVpn,
-    };
-}
-
 } // namespace mirage::pvboot

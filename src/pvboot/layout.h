@@ -51,18 +51,6 @@ struct LayoutSpec
  */
 Result<u64> buildLayout(xen::PageTables &pt, const LayoutSpec &spec);
 
-/** Region boundaries derived from a spec (for allocator wiring). */
-struct LayoutRegions
-{
-    u64 ioFirstVpn;
-    std::size_t ioPages;
-    u64 minorFirstVpn;
-    std::size_t minorPages;
-    u64 majorFirstVpn;
-};
-
-LayoutRegions regionsOf(const LayoutSpec &spec);
-
 } // namespace mirage::pvboot
 
 #endif // MIRAGE_PVBOOT_LAYOUT_H

@@ -43,12 +43,6 @@ Scheduler::sleep(Duration d)
     return p;
 }
 
-void
-Scheduler::runLater(std::function<void()> fn)
-{
-    engine_.after(Duration(0), std::move(fn));
-}
-
 PromisePtr
 Scheduler::withTimeout(PromisePtr p, Duration d)
 {

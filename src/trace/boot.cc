@@ -1,10 +1,19 @@
 #include "trace/boot.h"
 
 #include "base/logging.h"
-#include "trace/metrics.h"
 #include "trace/trace.h"
 
 namespace mirage::trace {
+
+void
+BootTracker::attach(TraceRecorder *tracer, MetricsRegistry &metrics)
+{
+    tracer_ = tracer;
+    metrics_ = &metrics;
+    completed_ = &metrics.counter("boot.completed");
+    total_ = &metrics.histogram("boot.total_ns");
+    first_request_ = &metrics.histogram("boot.first_request_ns");
+}
 
 BootTracker::Record *
 BootTracker::findMutable(BootId id)
@@ -26,17 +35,6 @@ BootTracker::find(BootId id) const
     return self->findMutable(id);
 }
 
-const BootTracker::Record *
-BootTracker::findOpen(const std::string &domain) const
-{
-    BootTracker *self = const_cast<BootTracker *>(this);
-    std::lock_guard<std::mutex> lk(mu_);
-    auto it = open_by_domain_.find(domain);
-    if (it == open_by_domain_.end())
-        return nullptr;
-    return self->findMutable(it->second);
-}
-
 u32
 BootTracker::bootTrack(const std::string &domain)
 {
@@ -53,7 +51,7 @@ BootTracker::begin(const std::string &domain, TimePoint ts)
     BootId id;
     {
         std::lock_guard<std::mutex> lk(mu_);
-        while (records_.size() >= capacity_) {
+        while (records_.size() >= capacity) {
             open_by_domain_.erase(records_.front().domain);
             records_.pop_front();
         }
@@ -93,16 +91,14 @@ BootTracker::phase(BootId id, const char *name, TimePoint start,
         p.ops = ops;
         r->phases.push_back(std::move(p));
         domain = r->domain;
-        phase_hist_[name].record(u64(end.ns() - start.ns()));
     }
     if (tracer_) {
         u32 tid = bootTrack(domain);
         tracer_->asyncBegin(Cat::Boot, name, id, start, tid);
         tracer_->asyncEnd(Cat::Boot, name, id, end, tid);
     }
-    if (metrics_)
-        metrics_->histogram(std::string("boot.") + name + "_ns")
-            .record(u64(end.ns() - start.ns()));
+    metrics_->histogram("boot.phase_ns", "phase", name)
+        .record(u64(end.ns() - start.ns()));
 }
 
 void
@@ -137,15 +133,11 @@ BootTracker::ready(BootId id, TimePoint ts)
         r->ready_ns = ts.ns();
         domain = r->domain;
         total = u64(r->ready_ns - r->submit_ns);
-        completed_.fetch_add(1, std::memory_order_relaxed);
-        total_hist_.record(total);
     }
     if (tracer_)
         tracer_->asyncEnd(Cat::Boot, "boot", id, ts, bootTrack(domain));
-    if (metrics_) {
-        metrics_->counter("boot.completed").inc();
-        metrics_->histogram("boot.total_ns").record(total);
-    }
+    completed_->inc();
+    total_->record(total);
 }
 
 void
@@ -172,7 +164,6 @@ BootTracker::firstRequest(const std::string &domain, TimePoint ts)
         id = r->id;
         ready_ns = r->ready_ns;
         submit_ns = r->submit_ns;
-        first_request_hist_.record(u64(ts.ns() - submit_ns));
     }
     if (tracer_) {
         u32 tid = bootTrack(domain);
@@ -180,9 +171,16 @@ BootTracker::firstRequest(const std::string &domain, TimePoint ts)
                             TimePoint(ready_ns), tid);
         tracer_->asyncEnd(Cat::Boot, "first_request", id, ts, tid);
     }
-    if (metrics_)
-        metrics_->histogram("boot.first_request_ns")
-            .record(u64(ts.ns() - submit_ns));
+    first_request_->record(u64(ts.ns() - submit_ns));
+}
+
+std::map<std::string, HdrHistogram>
+BootTracker::phaseHistogramsSnapshot() const
+{
+    std::map<std::string, HdrHistogram> out;
+    for (const auto &[phase, h] : phaseHistograms())
+        out.emplace(phase, *h);
+    return out;
 }
 
 std::string

@@ -19,8 +19,10 @@
  * (Linux-model guests report coarser phases: kernel_boot, services,
  * app_start.) Each phase lands as a nested trace span under the boot's
  * async id — Perfetto shows every boot as one bar decomposed into
- * phases — and as a `boot.<phase>_ns` histogram, so a fleet's cold-boot
- * p99 splits by phase. Structural code that runs in zero virtual time
+ * phases — and as a member of the registry's `boot.phase_ns{phase}`
+ * histogram family, so a fleet's cold-boot p99 splits by phase. The
+ * registry is the tracker's only store of latency: it keeps no
+ * histograms of its own. Structural code that runs in zero virtual time
  * (the PVBoot constructor, driver connects) annotates the *current*
  * boot with operation counts instead, via the ambient id.
  *
@@ -42,12 +44,11 @@
 
 #include "base/time.h"
 #include "base/types.h"
-#include "trace/hdr.h"
+#include "trace/metrics.h"
 
 namespace mirage::trace {
 
 class TraceRecorder;
-class MetricsRegistry;
 
 /** Identifies one tracked boot; 0 means "no boot". */
 using BootId = u64;
@@ -83,12 +84,9 @@ class BootTracker
     void enable(bool on = true) { enabled_ = on; }
     bool enabled() const { return enabled_; }
 
-    /** Sinks for phase spans and `boot.<phase>_ns` histograms. */
-    void attach(TraceRecorder *tracer, MetricsRegistry *metrics)
-    {
-        tracer_ = tracer;
-        metrics_ = metrics;
-    }
+    /** Sinks for phase spans (optional) and the boot series, which
+     *  attach creates (required before any other call). */
+    void attach(TraceRecorder *tracer, MetricsRegistry &metrics);
 
     // ---- Boot lifecycle ---------------------------------------------
     /**
@@ -112,7 +110,7 @@ class BootTracker
 
     /**
      * The domain is service-ready at @p ts: closes the boot span,
-     * records `boot.total_ns` and the per-phase histograms. The record
+     * counts `boot.completed` and records `boot.total_ns`. The record
      * stays addressable until firstRequest() or eviction.
      */
     void ready(BootId id, TimePoint ts);
@@ -131,43 +129,30 @@ class BootTracker
     BootId current() const { return current_tls_; }
     void setCurrent(BootId id) { current_tls_ = id; }
 
-    // ---- Introspection (lock-free) ----------------------------------
+    // ---- Introspection ----------------------------------------------
     u64 started() const { return started_.load(std::memory_order_relaxed); }
-    u64 completedBoots() const
-    {
-        return completed_.load(std::memory_order_relaxed);
-    }
-
-    /** Boot-record history retained before eviction (default 256). */
-    void setCapacity(std::size_t n)
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        capacity_ = n;
-    }
+    /** `boot.completed`: boots that reached ready(). */
+    u64 completedBoots() const { return completed_->value(); }
 
     const Record *find(BootId id) const;
-    /** The open (ready but first-request pending) boot of @p domain. */
-    const Record *findOpen(const std::string &domain) const;
 
     /** Completed + in-flight boots, oldest first (bounded history). */
     const std::deque<Record> &records() const { return records_; }
 
-    /** Merged per-phase histograms (fleet rollup source). */
-    const std::map<std::string, HdrHistogram> &phaseHistograms() const
+    /** The `boot.phase_ns` family's members by phase (fleet rollup
+     *  source). */
+    std::map<std::string, const HdrHistogram *> phaseHistograms() const
     {
-        return phase_hist_;
+        return metrics_->histogramFamily("boot.phase_ns");
     }
-    /** Copy of the per-phase histograms, safe against concurrent
+    /** Copy of the per-phase histograms, a snapshot against concurrent
      *  boots (the hub renders while other shards bring domains up). */
-    std::map<std::string, HdrHistogram> phaseHistogramsSnapshot() const
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        return phase_hist_;
-    }
-    const HdrHistogram &totalHistogram() const { return total_hist_; }
+    std::map<std::string, HdrHistogram> phaseHistogramsSnapshot() const;
+    /** `boot.total_ns` and `boot.first_request_ns`. */
+    const HdrHistogram &totalHistogram() const { return *total_; }
     const HdrHistogram &firstRequestHistogram() const
     {
-        return first_request_hist_;
+        return *first_request_;
     }
 
     /**
@@ -184,18 +169,17 @@ class BootTracker
     bool enabled_ = false;
     TraceRecorder *tracer_ = nullptr;
     MetricsRegistry *metrics_ = nullptr;
+    Counter *completed_ = nullptr;
+    Histogram *total_ = nullptr;
+    Histogram *first_request_ = nullptr;
     BootId next_id_ = 1;
     std::atomic<u64> started_{0};
-    std::atomic<u64> completed_{0};
-    // Guards records_/open_by_domain_/phase_hist_/next_id_; toolstack
-    // boots land on every shard.
+    // Guards records_/open_by_domain_/next_id_; toolstack boots land on
+    // every shard.
     mutable std::mutex mu_;
     std::deque<Record> records_;
-    std::size_t capacity_ = 256;
+    static constexpr std::size_t capacity = 256; //!< retained records
     std::map<std::string, BootId> open_by_domain_;
-    std::map<std::string, HdrHistogram> phase_hist_;
-    HdrHistogram total_hist_;
-    HdrHistogram first_request_hist_;
 
     static inline thread_local BootId current_tls_ = 0;
 };

@@ -28,7 +28,7 @@ FlowTracker::begin(const char *kind, TimePoint ts, u32 tid,
     std::string detail_copy;
     {
         std::lock_guard<std::mutex> lk(mu_);
-        if (live_.size() >= live_capacity_) {
+        if (live_.size() >= liveCapacity) {
             // A stuck flow (lost ACK, dead peer) must not pin memory
             // forever; evict the map's first victim and count it.
             live_.erase(live_.begin());
@@ -183,16 +183,7 @@ FlowTracker::finalize(Flow &f, u32 tid)
         current_tls_ = 0;
     std::lock_guard<std::mutex> lk(mu_);
     recent_.push_back(std::move(f));
-    while (recent_.size() > recent_capacity_)
-        recent_.pop_front();
-}
-
-void
-FlowTracker::setRecentCapacity(std::size_t n)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    recent_capacity_ = n;
-    while (recent_.size() > recent_capacity_)
+    while (recent_.size() > recentCapacity)
         recent_.pop_front();
 }
 

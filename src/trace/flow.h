@@ -155,15 +155,7 @@ class FlowTracker
         return live_count_.load(std::memory_order_relaxed);
     }
 
-    /** Live-flow cap before the tracker starts evicting (default 1024). */
-    void setLiveCapacity(std::size_t n)
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        live_capacity_ = n;
-    }
-
-    /** Completed-flow history retained for recentJson(). */
-    void setRecentCapacity(std::size_t n);
+    /** Completed-flow history (the last 128), for recentJson(). */
     const std::deque<Flow> &recent() const { return recent_; }
 
     /**
@@ -207,9 +199,9 @@ class FlowTracker
     // stall watchdog's hooks can read them from any shard.
     mutable std::mutex mu_;
     std::unordered_map<FlowId, Flow> live_;
-    std::size_t live_capacity_ = 1024;
+    static constexpr std::size_t liveCapacity = 1024; //!< then evict
     std::deque<Flow> recent_;
-    std::size_t recent_capacity_ = 128;
+    static constexpr std::size_t recentCapacity = 128;
     std::function<void()> activity_hook_;
     std::function<void(const Flow &)> finalize_hook_;
 

@@ -144,6 +144,21 @@ class HdrHistogram
             (unsigned long long)max());
     }
 
+    /** `{"count","mean_ns","p50_ns","p99_ns","p999_ns","max_ns"}` — the
+     *  one histogram summary every JSON endpoint embeds. */
+    std::string
+    summaryJson() const
+    {
+        return strprintf(
+            "{\"count\":%llu,\"mean_ns\":%.0f,\"p50_ns\":%llu,"
+            "\"p99_ns\":%llu,\"p999_ns\":%llu,\"max_ns\":%llu}",
+            (unsigned long long)count(), mean(),
+            (unsigned long long)quantile(0.50),
+            (unsigned long long)quantile(0.99),
+            (unsigned long long)quantile(0.999),
+            (unsigned long long)max());
+    }
+
     static std::size_t
     bucketIndex(u64 v)
     {

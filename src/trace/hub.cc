@@ -2,6 +2,7 @@
 
 #include "base/logging.h"
 #include "trace/boot.h"
+#include "trace/metrics.h"
 #include "trace/profile.h"
 #include "trace/slo.h"
 #include "trace/trace.h"
@@ -9,95 +10,77 @@
 
 namespace mirage::trace {
 
+namespace {
+
+constexpr const char *kLatency = "fleet.request_latency_ns";
+constexpr const char *kErrors = "fleet.errors_total";
+
+} // namespace
+
+u64
+TelemetryHub::errors(const std::string &domain) const
+{
+    const Counter *c = metrics_->findCounter(kErrors, domain);
+    return c ? c->value() : 0;
+}
+
 void
 TelemetryHub::onFlowDone(const FlowTracker::Flow &f)
 {
     const std::string &name =
         f.domain.empty() ? std::string("(untagged)") : f.domain;
-    std::lock_guard<std::mutex> lk(mu_);
-    DomainAgg &agg = domains_[name];
-    agg.requests++;
+    // Latency first: a reader that takes errors before the histogram
+    // never sees more errors than requests (the histogram's count).
+    metrics_->histogram(kLatency, "domain", name)
+        .record(u64(f.end_ns - f.start_ns));
+    Counter &errors = metrics_->counter(kErrors, "domain", name);
     if (f.failed)
-        agg.errors++;
-    agg.latency.record(u64(f.end_ns - f.start_ns));
+        errors.inc();
 }
 
 HdrHistogram
 TelemetryHub::fleetLatency() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
     HdrHistogram merged;
-    for (const auto &[name, agg] : domains_)
-        merged.merge(agg.latency);
+    for (const auto &[name, h] : metrics_->histogramFamily(kLatency))
+        merged.merge(*h);
     return merged;
-}
-
-u64
-TelemetryHub::fleetRequests() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    u64 n = 0;
-    for (const auto &[name, agg] : domains_)
-        n += agg.requests;
-    return n;
 }
 
 u64
 TelemetryHub::fleetErrors() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
     u64 n = 0;
-    for (const auto &[name, agg] : domains_)
-        n += agg.errors;
+    for (const auto &[name, h] : metrics_->histogramFamily(kLatency))
+        n += errors(name);
     return n;
 }
-
-namespace {
-
-std::string
-latencyJson(const HdrHistogram &h)
-{
-    return strprintf(
-        "{\"count\":%llu,\"mean_ns\":%.0f,\"p50_ns\":%llu,"
-        "\"p99_ns\":%llu,\"p999_ns\":%llu,\"max_ns\":%llu}",
-        (unsigned long long)h.count(), h.mean(),
-        (unsigned long long)h.quantile(0.50),
-        (unsigned long long)h.quantile(0.99),
-        (unsigned long long)h.quantile(0.999),
-        (unsigned long long)h.max());
-}
-
-} // namespace
 
 std::string
 TelemetryHub::fleetJson() const
 {
-    // Snapshot under the lock, render without it: the render path reads
-    // the profiler and SLO tracker, which take their own locks.
-    std::map<std::string, DomainAgg> domains;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        domains = domains_;
-    }
-    u64 requests = 0, errors = 0;
+    auto latencies = metrics_->histogramFamily(kLatency);
+    u64 requests = 0, error_sum = 0;
     HdrHistogram fleet_latency;
-    for (const auto &[name, agg] : domains) {
-        requests += agg.requests;
-        errors += agg.errors;
-        fleet_latency.merge(agg.latency);
-    }
     std::string out = "{\n\"domains\":[";
     bool first = true;
     u64 run_sum = 0, steal_sum = 0, blocked_sum = 0;
     u64 run_max = 0, steal_max = 0;
-    for (const auto &[name, agg] : domains) {
+    for (const auto &[name, h] : latencies) {
+        // Errors before the latency snapshot (onFlowDone writes them in
+        // the other order), and one snapshot for the request count and
+        // quantiles, so the row stays consistent while shards record.
+        u64 errs = errors(name);
+        HdrHistogram latency = *h;
+        requests += latency.count();
+        error_sum += errs;
+        fleet_latency.merge(latency);
         out += strprintf(
             "%s\n{\"name\":\"%s\",\"requests\":%llu,\"errors\":%llu,"
             "\"latency\":%s",
             first ? "" : ",", jsonEscape(name).c_str(),
-            (unsigned long long)agg.requests,
-            (unsigned long long)agg.errors,
-            latencyJson(agg.latency).c_str());
+            (unsigned long long)latency.count(), (unsigned long long)errs,
+            latency.summaryJson().c_str());
         first = false;
         const DomainStats *ds =
             profiler_ ? profiler_->findDomain(name) : nullptr;
@@ -128,9 +111,8 @@ TelemetryHub::fleetJson() const
         "\"cpu\":{\"run_ns_sum\":%llu,\"run_ns_max\":%llu,"
         "\"steal_ns_sum\":%llu,\"steal_ns_max\":%llu,"
         "\"blocked_ns_sum\":%llu}",
-        domains.size(), (unsigned long long)requests,
-        (unsigned long long)errors,
-        latencyJson(fleet_latency).c_str(),
+        latencies.size(), (unsigned long long)requests,
+        (unsigned long long)error_sum, fleet_latency.summaryJson().c_str(),
         (unsigned long long)run_sum, (unsigned long long)run_max,
         (unsigned long long)steal_sum, (unsigned long long)steal_max,
         (unsigned long long)blocked_sum);
@@ -152,100 +134,45 @@ TelemetryHub::fleetJson() const
             "\"total\":%s,\"first_request\":%s,\"phases\":{",
             (unsigned long long)boots_->started(),
             (unsigned long long)boots_->completedBoots(),
-            latencyJson(boots_->totalHistogram()).c_str(),
-            latencyJson(boots_->firstRequestHistogram()).c_str());
+            boots_->totalHistogram().summaryJson().c_str(),
+            boots_->firstRequestHistogram().summaryJson().c_str());
         bool fp = true;
-        for (const auto &[phase, h] : boots_->phaseHistogramsSnapshot()) {
+        for (const auto &[phase, h] : boots_->phaseHistograms()) {
             out += strprintf("%s\"%s\":%s", fp ? "" : ",",
                              jsonEscape(phase).c_str(),
-                             latencyJson(h).c_str());
+                             h->summaryJson().c_str());
             fp = false;
         }
         out += "},\"recent\":" + boots_->json() + "}";
     }
     if (slo_)
         out += ",\n\"slo\":" + slo_->json();
-    // Only render the shard section once the profiler has seen a
-    // sharded run; a 1-shard cloud bypasses the ShardSet entirely and
-    // an all-zero section would just read as a broken profiler. Never
-    // render it mid-run: /fleet is also served to in-sim HTTP clients,
-    // and wall-clock bytes in the body would change packetisation and
-    // so virtual timing — breaking bit-identical replay.
-    if (wall_ && wall_->windows() > 0 && !wall_->inRun())
+    if (wallSettled())
         out += ",\n\"shards\":" + wall_->statsJson();
     out += "\n}\n";
     return out;
 }
 
-namespace {
-
 std::string
-promLabel(const std::string &s)
+TelemetryHub::metricsText() const
 {
-    // Label values allow anything except backslash, quote, newline.
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '\\' || c == '"')
-            out += '\\';
-        if (c == '\n') {
-            out += "\\n";
-            continue;
-        }
-        out += c;
-    }
+    std::string out = metrics_->toPrometheus();
+    if (wallSettled())
+        out += wall_->toPrometheus();
     return out;
 }
 
-} // namespace
-
-std::string
-TelemetryHub::toPrometheus() const
+bool
+TelemetryHub::wallSettled() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    std::string out;
-    out += "# TYPE fleet_requests_total counter\n";
-    for (const auto &[name, agg] : domains_)
-        out += strprintf("fleet_requests_total{domain=\"%s\"} %llu\n",
-                         promLabel(name).c_str(),
-                         (unsigned long long)agg.requests);
-    out += "# TYPE fleet_errors_total counter\n";
-    for (const auto &[name, agg] : domains_)
-        out += strprintf("fleet_errors_total{domain=\"%s\"} %llu\n",
-                         promLabel(name).c_str(),
-                         (unsigned long long)agg.errors);
-    out += "# TYPE fleet_request_latency_ns histogram\n";
-    for (const auto &[name, agg] : domains_) {
-        std::string label = promLabel(name);
-        const HdrHistogram &h = agg.latency;
-        u64 cumulative = 0;
-        for (std::size_t i = 0; i < HdrHistogram::bucketCount; i++) {
-            u64 in_bucket = h.bucketCountAt(i);
-            if (in_bucket == 0)
-                continue;
-            cumulative += in_bucket;
-            out += strprintf(
-                "fleet_request_latency_ns_bucket"
-                "{domain=\"%s\",le=\"%llu\"} %llu\n",
-                label.c_str(),
-                (unsigned long long)HdrHistogram::bucketUpperBound(i),
-                (unsigned long long)cumulative);
-        }
-        out += strprintf("fleet_request_latency_ns_bucket"
-                         "{domain=\"%s\",le=\"+Inf\"} %llu\n",
-                         label.c_str(), (unsigned long long)h.count());
-        out += strprintf("fleet_request_latency_ns_sum{domain=\"%s\"}"
-                         " %llu\n",
-                         label.c_str(), (unsigned long long)h.sum());
-        out += strprintf("fleet_request_latency_ns_count{domain=\"%s\"}"
-                         " %llu\n",
-                         label.c_str(), (unsigned long long)h.count());
-    }
-    // Same in-run gate as fleetJson: /metrics is fetched by in-sim
-    // clients, and wall-dependent bytes must never reach them.
-    if (wall_ && wall_->windows() > 0 && !wall_->inRun())
-        out += wall_->toPrometheus();
-    return out;
+    // Only render wall sections once the profiler has seen a sharded
+    // run; a 1-shard cloud bypasses the ShardSet entirely and an
+    // all-zero section would just read as a broken profiler. Never
+    // render them mid-run: /fleet and /metrics are also served to
+    // in-sim HTTP clients, and wall-clock bytes in a body would change
+    // packetisation and so virtual timing — breaking bit-identical
+    // replay.
+    return wall_ && wall_->windows() > 0 && !wall_->inRun();
 }
 
 } // namespace mirage::trace

@@ -7,9 +7,11 @@
  * *fleet* view: one place that answers "what is the p99 across all
  * sixty domains, and which one is burning its error budget?". The hub
  * is that place. It subscribes to flow finalisation (via
- * FlowTracker::setFinalizeHook), folds each completed request into a
- * per-domain aggregate — request/error counts plus an HdrHistogram of
- * end-to-end latency — and computes fleet rollups on demand:
+ * FlowTracker::setFinalizeHook) and records each completed request
+ * into two labelled families of the metrics registry:
+ * `fleet.request_latency_ns{domain}` (an HdrHistogram whose count is
+ * the domain's request count) and `fleet.errors_total{domain}`. It
+ * keeps no state of its own; on demand it computes fleet rollups:
  *
  *   - request/error sums across domains,
  *   - a *histogram-merged* fleet latency distribution, whose quantiles
@@ -19,10 +21,10 @@
  *   - the boot tracker's per-phase cold-boot breakdown,
  *   - the SLO tracker's burn-rate state and alert log.
  *
- * fleetJson() renders all of that for `GET /fleet`; toPrometheus()
- * exports the per-domain series with `domain` labels
- * (`fleet_requests_total{domain="web3"}`) so a real scraper could
- * slice the fleet the same way.
+ * fleetJson() renders all of that for `GET /fleet`; metricsText()
+ * renders `GET /metrics`: the registry's series — the fleet families
+ * with `domain` labels among them, so a real scraper could slice the
+ * fleet the same way — plus the sharded engine's wall section.
  *
  * The hub holds only borrowed pointers: the composition root
  * (core::Cloud) owns every source and wires the hub after them, in the
@@ -32,9 +34,6 @@
 #ifndef MIRAGE_TRACE_HUB_H
 #define MIRAGE_TRACE_HUB_H
 
-#include <map>
-// mirage-lint: allow(wall-clock-in-sim)
-#include <mutex>
 #include <string>
 
 #include "base/types.h"
@@ -52,27 +51,18 @@ class WallProfiler;
 class TelemetryHub
 {
   public:
-    /** Per-domain request aggregate, fed by flow finalisation. */
-    struct DomainAgg
-    {
-        u64 requests = 0;
-        u64 errors = 0;
-        HdrHistogram latency; //!< end-to-end ns, mergeable
-    };
-
     /**
-     * Borrow the fleet's telemetry sources; any may be null and its
-     * section is simply omitted from the rollup.
+     * Borrow the fleet's telemetry sources. The registry is required:
+     * it holds the per-domain series. Any other source may be null and
+     * its section is simply omitted from the rollup.
      */
-    void attach(Profiler *profiler, FlowTracker *flows,
-                BootTracker *boots, SloTracker *slo,
-                MetricsRegistry *metrics)
+    void attach(Profiler *profiler, BootTracker *boots, SloTracker *slo,
+                MetricsRegistry &metrics)
     {
         profiler_ = profiler;
-        flows_ = flows;
         boots_ = boots;
         slo_ = slo;
-        metrics_ = metrics;
+        metrics_ = &metrics;
     }
 
     /**
@@ -84,16 +74,11 @@ class TelemetryHub
     void attachWall(const WallProfiler *wall) { wall_ = wall; }
 
     /**
-     * Fold one completed flow into its serving domain's aggregate.
-     * Wired as (part of) FlowTracker's finalize hook by the composition
-     * root. Untagged flows land under "(untagged)".
+     * Record one completed flow under its serving domain. Wired as
+     * (part of) FlowTracker's finalize hook by the composition root.
+     * Untagged flows land under "(untagged)".
      */
     void onFlowDone(const FlowTracker::Flow &f);
-
-    const std::map<std::string, DomainAgg> &domains() const
-    {
-        return domains_;
-    }
 
     /**
      * The fleet-wide latency distribution: exact merge of every
@@ -102,7 +87,7 @@ class TelemetryHub
      */
     HdrHistogram fleetLatency() const;
 
-    u64 fleetRequests() const;
+    u64 fleetRequests() const { return fleetLatency().count(); }
     u64 fleetErrors() const;
 
     /**
@@ -117,23 +102,21 @@ class TelemetryHub
     std::string fleetJson() const;
 
     /**
-     * Prometheus text exposition of the per-domain series with
-     * `domain` labels: fleet_requests_total, fleet_errors_total and
-     * the fleet_request_latency_ns histogram per domain.
+     * The `GET /metrics` body: the registry's Prometheus text plus,
+     * after a sharded run, the wall profiler's `shard_*` series.
      */
-    std::string toPrometheus() const;
+    std::string metricsText() const;
 
   private:
+    /** `fleet.errors_total{domain}` (0 before its first flow). */
+    u64 errors(const std::string &domain) const;
+    bool wallSettled() const;
+
     Profiler *profiler_ = nullptr;
-    FlowTracker *flows_ = nullptr;
     BootTracker *boots_ = nullptr;
     SloTracker *slo_ = nullptr;
     MetricsRegistry *metrics_ = nullptr;
     const WallProfiler *wall_ = nullptr;
-    // Guards domains_; flows finalize on every shard while /fleet
-    // renders from the monitor's shard.
-    mutable std::mutex mu_;
-    std::map<std::string, DomainAgg> domains_;
 };
 
 } // namespace mirage::trace

@@ -4,58 +4,35 @@
 
 namespace mirage::trace {
 
-// ---- MetricsRegistry -------------------------------------------------------
-
-Counter &
-MetricsRegistry::counter(const std::string &name)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    auto it = counters_.find(name);
-    if (it == counters_.end())
-        it = counters_.emplace(name, std::make_unique<Counter>()).first;
-    return *it->second;
-}
-
-Histogram &
-MetricsRegistry::histogram(const std::string &name)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    auto it = histograms_.find(name);
-    if (it == histograms_.end())
-        it = histograms_.emplace(name, std::make_unique<Histogram>()).first;
-    return *it->second;
-}
-
-const Counter *
-MetricsRegistry::findCounter(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    auto it = counters_.find(name);
-    return it == counters_.end() ? nullptr : it->second.get();
-}
-
-const Histogram *
-MetricsRegistry::findHistogram(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    auto it = histograms_.find(name);
-    return it == histograms_.end() ? nullptr : it->second.get();
-}
-
-std::string
-MetricsRegistry::dump() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    std::string out;
-    for (const auto &[name, c] : counters_)
-        out += strprintf("%-40s %llu\n", name.c_str(),
-                         (unsigned long long)c->value());
-    for (const auto &[name, h] : histograms_)
-        out += strprintf("%-40s %s\n", name.c_str(), h->summary().c_str());
-    return out;
-}
-
 namespace {
+
+// Shared by the counter and histogram maps; callers hold the
+// registry's mutex.
+template <template <class> class Family, class T>
+T &
+member(std::map<std::string, Family<T>> &families, const std::string &name,
+       const std::string &key, const std::string &value)
+{
+    Family<T> &family = families[name];
+    if (family.members.empty())
+        family.key = key;
+    std::unique_ptr<T> &slot = family.members[value];
+    if (!slot)
+        slot = std::make_unique<T>();
+    return *slot;
+}
+
+template <template <class> class Family, class T>
+const T *
+findMember(const std::map<std::string, Family<T>> &families,
+           const std::string &name, const std::string &value)
+{
+    auto family = families.find(name);
+    if (family == families.end())
+        return nullptr;
+    auto it = family->second.members.find(value);
+    return it == family->second.members.end() ? nullptr : it->second.get();
+}
 
 /** Prometheus metric names allow [a-zA-Z0-9_:]; fold the rest to '_'. */
 std::string
@@ -73,40 +50,150 @@ promName(const std::string &name)
     return out;
 }
 
+std::string
+series(const std::string &name, const std::string &labels)
+{
+    return labels.empty() ? name : name + "{" + labels + "}";
+}
+
 } // namespace
+
+// ---- MetricsRegistry -------------------------------------------------------
+
+Counter &
+MetricsRegistry::counter(const std::string &name, const std::string &key,
+                         const std::string &value)
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    return member(counters_, name, key, value);
+}
+
+Histogram &
+MetricsRegistry::histogram(const std::string &name, const std::string &key,
+                           const std::string &value)
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    return member(histograms_, name, key, value);
+}
+
+const Counter *
+MetricsRegistry::findCounter(const std::string &name,
+                             const std::string &value) const
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    return findMember(counters_, name, value);
+}
+
+const Histogram *
+MetricsRegistry::findHistogram(const std::string &name,
+                               const std::string &value) const
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    return findMember(histograms_, name, value);
+}
+
+std::map<std::string, const Histogram *>
+MetricsRegistry::histogramFamily(const std::string &name) const
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    std::map<std::string, const Histogram *> out;
+    if (auto it = histograms_.find(name); it != histograms_.end())
+        for (const auto &[value, h] : it->second.members)
+            out.emplace(value, h.get());
+    return out;
+}
+
+std::string
+MetricsRegistry::dump() const
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    std::string out;
+    for (const auto &[name, family] : counters_)
+        for (const auto &[value, c] : family.members)
+            out += strprintf(
+                "%-40s %llu\n",
+                series(name, promLabel(family.key, value)).c_str(),
+                (unsigned long long)c->value());
+    for (const auto &[name, family] : histograms_)
+        for (const auto &[value, h] : family.members)
+            out += strprintf(
+                "%-40s %s\n",
+                series(name, promLabel(family.key, value)).c_str(),
+                h->summary().c_str());
+    return out;
+}
 
 std::string
 MetricsRegistry::toPrometheus() const
 {
     std::lock_guard<std::mutex> lk(mu_);
     std::string out;
-    for (const auto &[name, c] : counters_) {
+    for (const auto &[name, family] : counters_) {
         std::string p = promName(name);
-        out += strprintf("# TYPE %s counter\n%s %llu\n", p.c_str(),
-                         p.c_str(), (unsigned long long)c->value());
+        promType(out, p, "counter");
+        for (const auto &[value, c] : family.members)
+            promSample(out, p, promLabel(family.key, value),
+                       std::to_string(c->value()));
     }
-    for (const auto &[name, h] : histograms_) {
+    for (const auto &[name, family] : histograms_) {
         std::string p = promName(name);
-        out += strprintf("# TYPE %s histogram\n", p.c_str());
-        u64 cumulative = 0;
-        for (std::size_t i = 0; i < Histogram::bucketCount; i++) {
-            u64 in_bucket = h->bucketCountAt(i);
-            if (in_bucket == 0)
-                continue;
-            cumulative += in_bucket;
-            out += strprintf("%s_bucket{le=\"%llu\"} %llu\n", p.c_str(),
-                             (unsigned long long)
-                                 Histogram::bucketUpperBound(i),
-                             (unsigned long long)cumulative);
-        }
-        out += strprintf("%s_bucket{le=\"+Inf\"} %llu\n", p.c_str(),
-                         (unsigned long long)h->count());
-        out += strprintf("%s_sum %llu\n", p.c_str(),
-                         (unsigned long long)h->sum());
-        out += strprintf("%s_count %llu\n", p.c_str(),
-                         (unsigned long long)h->count());
+        promType(out, p, "histogram");
+        for (const auto &[value, h] : family.members)
+            promHistogram(out, p, promLabel(family.key, value), *h);
     }
     return out;
+}
+
+// ---- Prometheus text writer ------------------------------------------------
+
+std::string
+promLabel(const std::string &key, const std::string &value)
+{
+    if (key.empty())
+        return {};
+    // Label values allow anything except backslash, quote, newline.
+    std::string out = key + "=\"";
+    for (char c : value) {
+        if (c == '\\' || c == '"')
+            out += '\\';
+        out += c == '\n' ? std::string("\\n") : std::string(1, c);
+    }
+    return out + "\"";
+}
+
+void
+promType(std::string &out, const std::string &name, const char *type)
+{
+    out += "# TYPE " + name + " " + type + "\n";
+}
+
+void
+promSample(std::string &out, const std::string &name,
+           const std::string &labels, const std::string &value)
+{
+    out += series(name, labels) + " " + value + "\n";
+}
+
+void
+promHistogram(std::string &out, const std::string &name,
+              const std::string &labels, const Histogram &h)
+{
+    std::string le = labels.empty() ? "le=\"" : labels + ",le=\"";
+    u64 cumulative = 0;
+    for (std::size_t i = 0; i < Histogram::bucketCount; i++) {
+        u64 in_bucket = h.bucketCountAt(i);
+        if (in_bucket == 0)
+            continue;
+        cumulative += in_bucket;
+        promSample(out, name + "_bucket",
+                   le + std::to_string(Histogram::bucketUpperBound(i)) +
+                       "\"",
+                   std::to_string(cumulative));
+    }
+    promSample(out, name + "_bucket", le + "+Inf\"",
+               std::to_string(h.count()));
+    promSample(out, name + "_sum", labels, std::to_string(h.sum()));
+    promSample(out, name + "_count", labels, std::to_string(h.count()));
 }
 
 } // namespace mirage::trace

@@ -5,10 +5,13 @@
  * observability: instrumentation is a library module linked into the
  * appliance, not per-subsystem bookkeeping).
  *
- * Subsystems keep their existing `stats_` structs for cheap direct
- * reads; when a registry is attached to the engine they additionally
- * mirror into named counters so one dump() correlates GC, TCP, ring
- * and block activity across layers.
+ * The registry is the one store for every counter and histogram the
+ * trace library exports (flow stages, boot phases, the fleet hub's
+ * per-domain series), so one dump() correlates GC, TCP, ring, block and
+ * fleet activity across layers. Some subsystems still keep a `stats_`
+ * struct for cheap direct reads and mirror it into named counters.
+ * A series is plain or a member of a *labelled family*: a name with one
+ * label key, whose members are created on first use per label value.
  *
  * Naming convention: `<subsystem>.<metric>`, lower_snake_case, with
  * byte counts suffixed `_bytes` and durations suffixed `_ns`
@@ -74,13 +77,28 @@ observe(Histogram *h, u64 v)
 class MetricsRegistry
 {
   public:
-    /** Find-or-create; references stay valid for the registry's life. */
-    Counter &counter(const std::string &name);
-    Histogram &histogram(const std::string &name);
+    /**
+     * Find-or-create; references stay valid for the registry's life.
+     * With a @p key, the series is member @p value of the family
+     * @p name (`histogram("boot.phase_ns", "phase", "build")`); a name
+     * keeps the label key it was first created with.
+     */
+    Counter &counter(const std::string &name, const std::string &key = {},
+                     const std::string &value = {});
+    Histogram &histogram(const std::string &name,
+                         const std::string &key = {},
+                         const std::string &value = {});
 
-    /** Lookup without creating; nullptr when absent. */
-    const Counter *findCounter(const std::string &name) const;
-    const Histogram *findHistogram(const std::string &name) const;
+    /** Lookup without creating; nullptr when absent. @p value names a
+     *  family member. */
+    const Counter *findCounter(const std::string &name,
+                               const std::string &value = {}) const;
+    const Histogram *findHistogram(const std::string &name,
+                                   const std::string &value = {}) const;
+
+    /** A histogram family's members by label value. */
+    std::map<std::string, const Histogram *>
+    histogramFamily(const std::string &name) const;
 
     std::size_t counterCount() const
     {
@@ -89,27 +107,51 @@ class MetricsRegistry
     }
 
     /**
-     * Text dump, one `name value` / `name summary` line per metric,
-     * sorted by name (the hook examples and benches print).
+     * Text dump, one `name value` / `name summary` line per series
+     * (`name{key="value"}` in a family), sorted by name (the hook
+     * examples and benches print).
      */
     std::string dump() const;
 
     /**
-     * Prometheus text exposition (format 0.0.4): counters as-is,
-     * histograms as cumulative `_bucket{le="…"}` series plus `_sum` and
-     * `_count`. Metric names are sanitised to [a-zA-Z0-9_:]; only
-     * buckets that change the cumulative count are emitted (plus
-     * `le="+Inf"`), keeping 256-slot histograms compact on the wire.
+     * Prometheus text exposition (format 0.0.4): one TYPE line per
+     * name, then one sample (counter) or promHistogram() series per
+     * member. Metric names are sanitised to [a-zA-Z0-9_:].
      */
     std::string toPrometheus() const;
 
   private:
-    // Guards the name maps only; Counter/Histogram are internally
+    /** A name's series by label value; a plain series is the member ""
+     *  of a family with an empty key. */
+    template <class T> struct Family
+    {
+        std::string key;
+        std::map<std::string, std::unique_ptr<T>> members;
+    };
+
+    // Guards the maps only; Counter/Histogram are internally
     // thread-safe and references stay valid without the lock.
     mutable std::mutex mu_;
-    std::map<std::string, std::unique_ptr<Counter>> counters_;
-    std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+    std::map<std::string, Family<Counter>> counters_;
+    std::map<std::string, Family<Histogram>> histograms_;
 };
+
+// ---- The one Prometheus text writer ----------------------------------------
+
+/** `key="value"`, the value's backslash, quote and newline escaped;
+ *  empty when @p key is. */
+std::string promLabel(const std::string &key, const std::string &value);
+
+void promType(std::string &out, const std::string &name, const char *type);
+
+/** `name{labels} value` (`name value` without labels). */
+void promSample(std::string &out, const std::string &name,
+                const std::string &labels, const std::string &value);
+
+/** Cumulative `_bucket` lines (labels plus `le`) for the buckets that
+ *  change the count, `le="+Inf"`, then `_sum` and `_count`. */
+void promHistogram(std::string &out, const std::string &name,
+                   const std::string &labels, const Histogram &h);
 
 } // namespace mirage::trace
 

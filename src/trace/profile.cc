@@ -1,7 +1,6 @@
 #include "trace/profile.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "base/logging.h"
 #include "trace/trace.h"
@@ -222,17 +221,7 @@ Profiler::folded() const
 Status
 Profiler::writeFolded(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return Status(Error(Error::Kind::Io,
-                            "cannot open profile file " + path));
-    std::string text = folded();
-    std::size_t n = std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-    if (n != text.size())
-        return Status(Error(Error::Kind::Io,
-                            "short write to profile file " + path));
-    return Status::success();
+    return writeFile(path, folded());
 }
 
 // ---- Per-domain accounting -------------------------------------------------
@@ -258,21 +247,6 @@ Profiler::findDomain(const std::string &name) const
     auto it = domains_.find(name);
     return it == domains_.end() ? nullptr : it->second.get();
 }
-
-namespace {
-
-std::string
-histJson(const Histogram &h)
-{
-    return strprintf("{\"count\":%llu,\"mean_ns\":%.0f,"
-                     "\"p50_ns\":%llu,\"p99_ns\":%llu,\"max_ns\":%llu}",
-                     (unsigned long long)h.count(), h.mean(),
-                     (unsigned long long)h.quantile(0.5),
-                     (unsigned long long)h.quantile(0.99),
-                     (unsigned long long)h.max());
-}
-
-} // namespace
 
 std::string
 Profiler::topJson() const
@@ -317,8 +291,8 @@ Profiler::topJson() const
             (unsigned long long)d->gc_major,
             (unsigned long long)d->gc_promoted_bytes,
             (unsigned long long)d->gc_live_after_major_bytes,
-            histJson(d->gc_minor_pause_ns).c_str(),
-            histJson(d->gc_major_pause_ns).c_str());
+            d->gc_minor_pause_ns.summaryJson().c_str(),
+            d->gc_major_pause_ns.summaryJson().c_str());
     }
     out += strprintf("],\"charged_ns\":%llu,"
                      "\"attributed_fraction\":%.4f,\"alerts\":%llu}",

@@ -79,12 +79,6 @@ class SloTracker
     /** Declare (or replace) the objective for flow kind @p kind. */
     void setTarget(const std::string &kind, SloTarget target);
 
-    bool hasTarget(const std::string &kind) const
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        return states_.count(kind) != 0;
-    }
-
     /**
      * Score one completed request of @p kind: latency @p latency_ns,
      * @p failed when the server answered with an error. No-op for

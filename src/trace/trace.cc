@@ -29,6 +29,8 @@ catName(Cat cat)
         return "flow";
       case Cat::Boot:
         return "boot";
+      case Cat::Wall:
+        return "wall";
     }
     return "unknown";
 }
@@ -60,6 +62,19 @@ jsonEscape(const std::string &s)
         }
     }
     return out;
+}
+
+Status
+writeFile(const std::string &path, const std::string &text)
+{
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (!f)
+        return Status(Error(Error::Kind::Io, "cannot open " + path));
+    std::size_t n = std::fwrite(text.data(), 1, text.size(), f);
+    std::fclose(f);
+    if (n != text.size())
+        return Status(Error(Error::Kind::Io, "short write to " + path));
+    return Status::success();
 }
 
 u32
@@ -201,9 +216,6 @@ TraceRecorder::clear()
 std::string
 TraceRecorder::toChromeJson() const
 {
-    // Spans are recorded when scheduled, which may predate events that
-    // execute earlier (a Cpu books work at its future freeAt); sort by
-    // virtual start time so the export reads in timeline order.
     std::vector<Event> store;
     std::vector<std::string> tracks;
     u64 dropped;
@@ -213,15 +225,21 @@ TraceRecorder::toChromeJson() const
         tracks = tracks_;
         dropped = dropped_;
     }
-    std::vector<const Event *> ordered;
-    ordered.reserve(store.size());
-    for (const Event &e : store)
-        ordered.push_back(&e);
-    std::stable_sort(ordered.begin(), ordered.end(),
-                     [](const Event *a, const Event *b) {
-                         return a->ts_ns < b->ts_ns;
-                     });
+    return chromeJson(std::move(store), tracks, dropped);
+}
 
+std::string
+chromeJson(std::vector<TraceRecorder::Event> events,
+           const std::vector<std::string> &tracks, u64 dropped)
+{
+    // Spans are recorded when scheduled, which may predate events that
+    // execute earlier (a Cpu books work at its future freeAt); sort by
+    // start time so the export reads in timeline order.
+    std::stable_sort(events.begin(), events.end(),
+                     [](const TraceRecorder::Event &a,
+                        const TraceRecorder::Event &b) {
+                         return a.ts_ns < b.ts_ns;
+                     });
     std::string out = strprintf(
         "{\"displayTimeUnit\":\"ms\",\"droppedEvents\":%llu,"
         "\"traceEvents\":[\n",
@@ -234,43 +252,27 @@ TraceRecorder::toChromeJson() const
                          "\"args\":{\"name\":\"%s\"}}",
                          i, jsonEscape(tracks[i]).c_str());
     }
-    for (const Event *e : ordered) {
+    for (const TraceRecorder::Event &e : events) {
         // Chrome expects microsecond timestamps; keep ns resolution
         // with a fractional part.
         out += strprintf(",\n{\"ph\":\"%c\",\"pid\":1,\"tid\":%u,"
                          "\"cat\":\"%s\",\"name\":\"%s\",\"ts\":%.3f",
-                         e->ph, e->tid, catName(e->cat),
-                         jsonEscape(e->name).c_str(),
-                         double(e->ts_ns) / 1000.0);
-        if (e->ph == 'X')
-            out += strprintf(",\"dur\":%.3f", double(e->dur_ns) / 1000.0);
-        if (e->ph == 'i')
+                         e.ph, e.tid, catName(e.cat),
+                         jsonEscape(e.name).c_str(),
+                         double(e.ts_ns) / 1000.0);
+        if (e.ph == 'X')
+            out += strprintf(",\"dur\":%.3f", double(e.dur_ns) / 1000.0);
+        if (e.ph == 'i')
             out += ",\"s\":\"t\"";
-        if (e->ph == 'b' || e->ph == 'e' || e->ph == 'n')
+        if (e.ph == 'b' || e.ph == 'e' || e.ph == 'n')
             out += strprintf(",\"id\":\"0x%llx\"",
-                             (unsigned long long)e->id);
-        if (!e->args.empty())
-            out += strprintf(",\"args\":{%s}", e->args.c_str());
+                             (unsigned long long)e.id);
+        if (!e.args.empty())
+            out += strprintf(",\"args\":{%s}", e.args.c_str());
         out += "}";
     }
     out += "\n]}\n";
     return out;
-}
-
-Status
-TraceRecorder::writeChromeJson(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return Status(Error(Error::Kind::Io,
-                            "cannot open trace file " + path));
-    std::string json = toChromeJson();
-    std::size_t n = std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    if (n != json.size())
-        return Status(Error(Error::Kind::Io,
-                            "short write to trace file " + path));
-    return Status::success();
 }
 
 } // namespace mirage::trace

@@ -56,12 +56,16 @@ enum class Cat : u8 {
     App,        //!< appliance-level marks
     Flow,       //!< cross-layer request flows (async b/e events)
     Boot,       //!< domain bring-up phase spans (async b/e events)
+    Wall,       //!< sharded-engine worker phases (wall clock)
 };
 
 const char *catName(Cat cat);
 
 /** Escape @p s for embedding in a JSON string literal. */
 std::string jsonEscape(const std::string &s);
+
+/** Write @p text to the file at @p path (replacing it). */
+Status writeFile(const std::string &path, const std::string &text);
 
 class TraceRecorder
 {
@@ -155,7 +159,10 @@ class TraceRecorder
     std::string toChromeJson() const;
 
     /** toChromeJson() to @p path. */
-    Status writeChromeJson(const std::string &path) const;
+    Status writeChromeJson(const std::string &path) const
+    {
+        return writeFile(path, toChromeJson());
+    }
 
   private:
     void push(Event &&e);
@@ -172,6 +179,15 @@ class TraceRecorder
     std::vector<std::string> tracks_ = {"event-loop"};
     std::map<std::string, u32> track_index_ = {{"event-loop", 0}};
 };
+
+/**
+ * The one Chrome trace_event writer ({"traceEvents": [...]}), shared by
+ * both clocks' exports: @p events sorted by start time, thread-name
+ * metadata naming track i @p tracks[i], and a top-level droppedEvents
+ * count.
+ */
+std::string chromeJson(std::vector<TraceRecorder::Event> events,
+                       const std::vector<std::string> &tracks, u64 dropped);
 
 } // namespace mirage::trace
 

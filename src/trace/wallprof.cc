@@ -6,9 +6,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 
 #include "base/logging.h"
+#include "trace/metrics.h"
+#include "trace/trace.h"
 
 namespace mirage::trace {
 
@@ -242,39 +243,15 @@ WallProfiler::shardStats(unsigned w) const
 }
 
 double
-WallProfiler::attributedFraction() const
+WallProfiler::fractionOf(u64 (*part)(const ShardStats &)) const
 {
     u64 elapsed = elapsedNs();
     if (elapsed == 0 || slots_.empty())
         return 0;
     u64 sum = 0;
     for (unsigned w = 0; w < slots_.size(); w++)
-        sum += shardStats(w).attributed();
+        sum += part(shardStats(w));
     return double(sum) / (double(elapsed) * double(slots_.size()));
-}
-
-double
-WallProfiler::parallelEfficiency() const
-{
-    u64 elapsed = elapsedNs();
-    if (elapsed == 0 || slots_.empty())
-        return 0;
-    u64 busy = 0;
-    for (unsigned w = 0; w < slots_.size(); w++)
-        busy += shardStats(w).busy_ns;
-    return double(busy) / (double(elapsed) * double(slots_.size()));
-}
-
-double
-WallProfiler::barrierWaitFraction() const
-{
-    u64 elapsed = elapsedNs();
-    if (elapsed == 0 || slots_.empty())
-        return 0;
-    u64 wait = 0;
-    for (unsigned w = 0; w < slots_.size(); w++)
-        wait += shardStats(w).wait_ns;
-    return double(wait) / (double(elapsed) * double(slots_.size()));
 }
 
 double
@@ -310,78 +287,36 @@ WallProfiler::toChromeJson() const
     // one thread track per worker; the virtual window each execute
     // span ran rides in args so it can be cross-referenced against the
     // virtual-time trace (TraceRecorder::toChromeJson).
-    std::string out = "{\"traceEvents\":[\n";
-    bool first = true;
+    std::vector<TraceRecorder::Event> events;
+    std::vector<std::string> tracks;
     for (unsigned w = 0; w < slots_.size(); w++) {
-        out += strprintf(
-            "%s{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
-            "\"tid\":%u,\"args\":{\"name\":\"wall/shard%u\"}}",
-            first ? "" : ",\n", w + 1, w);
-        first = false;
-    }
-    for (unsigned w = 0; w < slots_.size(); w++) {
-        std::vector<Span> spans;
-        {
-            std::lock_guard<std::mutex> lk(slots_[w]->span_mu);
-            spans = slots_[w]->spans;
-        }
-        for (const Span &s : spans) {
-            out += strprintf(
-                "%s{\"name\":\"%s\",\"cat\":\"wall\",\"ph\":\"X\","
-                "\"pid\":1,\"tid\":%u,\"ts\":%.3f,\"dur\":%.3f,"
-                "\"args\":{",
-                first ? "" : ",\n", phaseName(s.phase), w + 1,
-                double(s.t0_ns) / 1e3,
-                double(s.t1_ns - s.t0_ns) / 1e3);
-            first = false;
+        tracks.push_back(strprintf("wall/shard%u", w));
+        std::lock_guard<std::mutex> lk(slots_[w]->span_mu);
+        for (const Span &s : slots_[w]->spans) {
+            std::string args;
             if (s.vt_ns >= 0)
-                out += strprintf("\"vt_ns\":%lld,\"vend_ns\":%lld,",
-                                 (long long)s.vt_ns,
-                                 (long long)s.vend_ns);
+                args += strprintf("\"vt_ns\":%lld,\"vend_ns\":%lld,",
+                                  (long long)s.vt_ns, (long long)s.vend_ns);
             if (s.phase == WallPhase::Execute)
-                out += strprintf("\"events\":%llu,",
-                                 (unsigned long long)s.events);
+                args += strprintf("\"events\":%llu,",
+                                  (unsigned long long)s.events);
             if (s.phase == WallPhase::Wait && s.idle_ns)
-                out += strprintf("\"idle_ns\":%llu,",
-                                 (unsigned long long)s.idle_ns);
-            out += strprintf("\"shard\":%u}}", w);
+                args += strprintf("\"idle_ns\":%llu,",
+                                  (unsigned long long)s.idle_ns);
+            args += strprintf("\"shard\":%u", w);
+            events.push_back({phaseName(s.phase), Cat::Wall, 'X', w,
+                              s.t0_ns, s.t1_ns - s.t0_ns, 0,
+                              std::move(args)});
         }
     }
-    out += "\n]}\n";
-    return out;
+    return chromeJson(std::move(events), tracks, spansDropped());
 }
 
 Status
 WallProfiler::writeChromeJson(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return Status(Error(Error::Kind::Io,
-                            "cannot open wall trace file " + path));
-    std::string json = toChromeJson();
-    std::size_t n = std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    if (n != json.size())
-        return Status(Error(Error::Kind::Io,
-                            "short write to wall trace file " + path));
-    return Status::success();
+    return writeFile(path, toChromeJson());
 }
-
-namespace {
-
-std::string
-histJson(const HdrHistogram &h)
-{
-    return strprintf(
-        "{\"count\":%llu,\"mean_ns\":%.0f,\"p50_ns\":%llu,"
-        "\"p99_ns\":%llu,\"max_ns\":%llu}",
-        (unsigned long long)h.count(), h.mean(),
-        (unsigned long long)h.quantile(0.50),
-        (unsigned long long)h.quantile(0.99),
-        (unsigned long long)h.max());
-}
-
-} // namespace
 
 std::string
 WallProfiler::statsJson() const
@@ -411,8 +346,8 @@ WallProfiler::statsJson() const
             (unsigned long long)s.events,
             (unsigned long long)s.windows);
     }
-    out += "],\"delivery_lag_virtual\":" + histJson(lag_virt_);
-    out += ",\"mailbox_lag_wall\":" + histJson(lag_wall_);
+    out += "],\"delivery_lag_virtual\":" + lag_virt_.summaryJson();
+    out += ",\"mailbox_lag_wall\":" + lag_wall_.summaryJson();
     out += "}";
     return out;
 }
@@ -432,63 +367,40 @@ WallProfiler::toPrometheus() const
         {"shard_wait_ns", WallPhase::Wait},
         {"shard_idle_ns", WallPhase::Idle},
     };
-    for (const auto &s : series) {
-        out += strprintf("# TYPE %s counter\n", s.name);
+    auto perShard = [&](const char *name, auto value) {
+        promType(out, name, "counter");
         for (unsigned w = 0; w < workers(); w++)
-            out += strprintf(
-                "%s{shard=\"%u\"} %llu\n", s.name, w,
-                (unsigned long long)slots_[w]
-                    ->phase_ns[unsigned(s.phase)]
-                    .load(relaxed));
-    }
-    out += "# TYPE shard_events_total counter\n";
-    for (unsigned w = 0; w < workers(); w++)
-        out += strprintf(
-            "shard_events_total{shard=\"%u\"} %llu\n", w,
-            (unsigned long long)slots_[w]->events.load(relaxed));
-    out += strprintf("# TYPE shard_windows_total counter\n"
-                     "shard_windows_total %llu\n",
-                     (unsigned long long)windows());
-    out += strprintf("# TYPE shard_wall_elapsed_ns counter\n"
-                     "shard_wall_elapsed_ns %llu\n",
-                     (unsigned long long)elapsedNs());
-    out += strprintf("# TYPE shard_parallel_efficiency gauge\n"
-                     "shard_parallel_efficiency %.4f\n",
-                     parallelEfficiency());
-    out += strprintf("# TYPE shard_wall_attributed_fraction gauge\n"
-                     "shard_wall_attributed_fraction %.4f\n",
-                     attributedFraction());
-    out += strprintf("# TYPE shard_imbalance_ratio gauge\n"
-                     "shard_imbalance_ratio %.3f\n",
-                     imbalanceRatio());
+            promSample(out, name, promLabel("shard", std::to_string(w)),
+                       std::to_string(value(*slots_[w])));
+    };
+    for (const auto &s : series)
+        perShard(s.name, [&](const Slot &slot) {
+            return slot.phase_ns[unsigned(s.phase)].load(relaxed);
+        });
+    perShard("shard_events_total",
+             [](const Slot &slot) { return slot.events.load(relaxed); });
     struct
     {
-        const char *name;
-        const HdrHistogram *h;
-    } hists[] = {
-        {"shard_delivery_lag_virtual_ns", &lag_virt_},
-        {"shard_mailbox_lag_wall_ns", &lag_wall_},
+        const char *name, *type;
+        std::string value;
+    } totals[] = {
+        {"shard_windows_total", "counter", std::to_string(windows())},
+        {"shard_wall_elapsed_ns", "counter", std::to_string(elapsedNs())},
+        {"shard_parallel_efficiency", "gauge",
+         strprintf("%.4f", parallelEfficiency())},
+        {"shard_wall_attributed_fraction", "gauge",
+         strprintf("%.4f", attributedFraction())},
+        {"shard_imbalance_ratio", "gauge",
+         strprintf("%.3f", imbalanceRatio())},
     };
-    for (const auto &hs : hists) {
-        out += strprintf("# TYPE %s histogram\n", hs.name);
-        u64 cumulative = 0;
-        for (std::size_t i = 0; i < HdrHistogram::bucketCount; i++) {
-            u64 in_bucket = hs.h->bucketCountAt(i);
-            if (in_bucket == 0)
-                continue;
-            cumulative += in_bucket;
-            out += strprintf(
-                "%s_bucket{le=\"%llu\"} %llu\n", hs.name,
-                (unsigned long long)HdrHistogram::bucketUpperBound(i),
-                (unsigned long long)cumulative);
-        }
-        out += strprintf("%s_bucket{le=\"+Inf\"} %llu\n", hs.name,
-                         (unsigned long long)hs.h->count());
-        out += strprintf("%s_sum %llu\n", hs.name,
-                         (unsigned long long)hs.h->sum());
-        out += strprintf("%s_count %llu\n", hs.name,
-                         (unsigned long long)hs.h->count());
+    for (const auto &t : totals) {
+        promType(out, t.name, t.type);
+        promSample(out, t.name, {}, t.value);
     }
+    promType(out, "shard_delivery_lag_virtual_ns", "histogram");
+    promHistogram(out, "shard_delivery_lag_virtual_ns", {}, lag_virt_);
+    promType(out, "shard_mailbox_lag_wall_ns", "histogram");
+    promHistogram(out, "shard_mailbox_lag_wall_ns", {}, lag_wall_);
     return out;
 }
 

@@ -179,19 +179,27 @@ class WallProfiler
     u64 windows() const { return windows_.load(relaxed); }
 
     /** Σ all phases / (workers x elapsed) — the >=95 % CI gate. */
-    double attributedFraction() const;
+    double attributedFraction() const
+    {
+        return fractionOf([](const ShardStats &s) { return s.attributed(); });
+    }
 
     /** Σ execute / (workers x elapsed). */
-    double parallelEfficiency() const;
+    double parallelEfficiency() const
+    {
+        return fractionOf([](const ShardStats &s) { return s.busy_ns; });
+    }
 
     /** Σ wait / (workers x elapsed). */
-    double barrierWaitFraction() const;
+    double barrierWaitFraction() const
+    {
+        return fractionOf([](const ShardStats &s) { return s.wait_ns; });
+    }
 
     /** Mean over windows of (max events per shard) / (mean events per
      *  shard); 1.0 = perfectly balanced, K = one shard did it all. */
     double imbalanceRatio() const;
 
-    const HdrHistogram &imbalanceHist() const { return imbalance_; }
     const HdrHistogram &deliveryLagVirtual() const { return lag_virt_; }
     const HdrHistogram &mailboxLagWall() const { return lag_wall_; }
 
@@ -246,6 +254,8 @@ class WallProfiler
         std::atomic<u64> spans_dropped{0};
     };
 
+    /** Σ over workers of @p part / (workers x elapsed). */
+    double fractionOf(u64 (*part)(const ShardStats &)) const;
     void addPhase(unsigned w, WallPhase p, i64 ns);
     void pushSpan(unsigned w, const Span &s);
 

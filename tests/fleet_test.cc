@@ -20,6 +20,7 @@
 #include "trace/boot.h"
 #include "trace/hdr.h"
 #include "trace/hub.h"
+#include "trace/metrics.h"
 #include "trace/slo.h"
 
 namespace mirage::trace {
@@ -169,7 +170,9 @@ TEST(SloTrackerTest, EvaluateRearmsWithoutTraffic)
 TEST(BootTrackerTest, ToolstackBootDecomposesIntoPhases)
 {
     sim::Engine engine;
+    MetricsRegistry reg;
     BootTracker boots;
+    boots.attach(nullptr, reg);
     boots.enable();
     engine.setBoots(&boots);
     xen::Hypervisor hv(engine);
@@ -207,10 +210,20 @@ TEST(BootTrackerTest, ToolstackBootDecomposesIntoPhases)
     EXPECT_GE(sum * 100, r.totalNs() * 95);
     EXPECT_LE(sum, r.totalNs());
 
-    // Histograms fed once per phase and once for the total.
+    // Histograms fed once per phase and once for the total, into the
+    // registry: the tracker's view and boot.phase_ns{phase="build"}
+    // are one series, not two copies.
     EXPECT_EQ(boots.totalHistogram().count(), 1u);
+    EXPECT_EQ(&boots.totalHistogram(), reg.findHistogram("boot.total_ns"));
     ASSERT_EQ(boots.phaseHistograms().count("build"), 1u);
-    EXPECT_EQ(boots.phaseHistograms().at("build").count(), 1u);
+    const HdrHistogram *build = boots.phaseHistograms().at("build");
+    EXPECT_EQ(build, reg.findHistogram("boot.phase_ns", "build"));
+    EXPECT_EQ(build->count(), 1u);
+    EXPECT_EQ(boots.phaseHistogramsSnapshot().at("build").count(), 1u);
+    EXPECT_NE(reg.toPrometheus().find(
+                  "boot_phase_ns_count{phase=\"build\"} 1\n"),
+              std::string::npos);
+    EXPECT_EQ(reg.findCounter("boot.completed")->value(), 1u);
 
     std::string j = boots.json();
     EXPECT_NE(j.find("\"domain\":\"uk\""), std::string::npos) << j;
@@ -220,7 +233,9 @@ TEST(BootTrackerTest, ToolstackBootDecomposesIntoPhases)
 TEST(BootTrackerTest, LinuxModelBootsReportCoarsePhases)
 {
     sim::Engine engine;
+    MetricsRegistry reg;
     BootTracker boots;
+    boots.attach(nullptr, reg);
     boots.enable();
     engine.setBoots(&boots);
     xen::Hypervisor hv(engine);
@@ -242,7 +257,9 @@ TEST(BootTrackerTest, LinuxModelBootsReportCoarsePhases)
 
 TEST(TelemetryHubTest, PerDomainAggregationAndExactFleetQuantiles)
 {
+    MetricsRegistry reg;
     TelemetryHub hub;
+    hub.attach(nullptr, nullptr, nullptr, reg);
     HdrHistogram pooled;
     u64 state = 7;
     auto feed = [&](const std::string &domain, int n, bool failed) {
@@ -261,9 +278,12 @@ TEST(TelemetryHubTest, PerDomainAggregationAndExactFleetQuantiles)
     feed("web1", 2000, false);
     feed("web2", 100, true);
 
-    ASSERT_EQ(hub.domains().size(), 3u);
-    EXPECT_EQ(hub.domains().at("web0").requests, 4000u);
-    EXPECT_EQ(hub.domains().at("web2").errors, 100u);
+    // The hub keeps no aggregate of its own: per-domain requests are
+    // the registry's latency-histogram counts.
+    auto latency = reg.histogramFamily("fleet.request_latency_ns");
+    ASSERT_EQ(latency.size(), 3u);
+    EXPECT_EQ(latency.at("web0")->count(), 4000u);
+    EXPECT_EQ(reg.findCounter("fleet.errors_total", "web2")->value(), 100u);
     EXPECT_EQ(hub.fleetRequests(), 6100u);
     EXPECT_EQ(hub.fleetErrors(), 100u);
 
@@ -279,7 +299,8 @@ TEST(TelemetryHubTest, PerDomainAggregationAndExactFleetQuantiles)
     anon.kind = "http";
     anon.end_ns = 1000;
     hub.onFlowDone(anon);
-    EXPECT_EQ(hub.domains().count("(untagged)"), 1u);
+    EXPECT_NE(reg.findHistogram("fleet.request_latency_ns", "(untagged)"),
+              nullptr);
 
     // fleetJson works with no attached sources (sections omitted).
     std::string j = hub.fleetJson();
@@ -288,8 +309,8 @@ TEST(TelemetryHubTest, PerDomainAggregationAndExactFleetQuantiles)
     EXPECT_NE(j.find("\"web1\""), std::string::npos) << j;
     EXPECT_NE(j.find("\"p99_ns\""), std::string::npos) << j;
 
-    std::string prom = hub.toPrometheus();
-    EXPECT_NE(prom.find("fleet_requests_total{domain=\"web0\"} 4000"),
+    std::string prom = hub.metricsText();
+    EXPECT_NE(prom.find("fleet_request_latency_ns_count{domain=\"web0\"} 4000"),
               std::string::npos)
         << prom;
     EXPECT_NE(prom.find("fleet_errors_total{domain=\"web2\"} 100"),

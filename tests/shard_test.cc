@@ -526,7 +526,7 @@ TEST(CloudShardTest, ShardAwareAggregatesReachQuiescence)
     std::string fleet = cloud.hub().fleetJson();
     EXPECT_NE(fleet.find("\"shards\":"), std::string::npos);
     EXPECT_NE(fleet.find("\"per_shard\""), std::string::npos);
-    std::string prom = cloud.hub().toPrometheus();
+    std::string prom = cloud.hub().metricsText();
     EXPECT_NE(prom.find("shard_wait_ns{shard=\"1\"}"),
               std::string::npos);
     EXPECT_NE(prom.find("shard_imbalance_ratio"), std::string::npos);

@@ -338,6 +338,48 @@ TEST(MetricsRegistryTest, PrometheusExpositionFormat)
         << prom;
 }
 
+TEST(MetricsRegistryTest, LabelledFamiliesRenderExactly)
+{
+    // One writer renders plain series and labelled families alike: one
+    // `# TYPE` line per name, members in label-value order, label
+    // values escaped, histogram buckets cumulative up to +Inf.
+    MetricsRegistry reg;
+    reg.counter("http.requests").inc(5);
+    reg.counter("fleet.errors_total", "domain", "a\"b").inc(2);
+    reg.counter("fleet.errors_total", "domain", "c\\d\ne");
+    Histogram &web0 = reg.histogram("req.latency_ns", "domain", "web0");
+    web0.record(3);
+    web0.record(3);
+    web0.record(100);
+    reg.histogram("req.latency_ns", "domain", "web1").record(40);
+
+    EXPECT_EQ(reg.toPrometheus(),
+              "# TYPE fleet_errors_total counter\n"
+              "fleet_errors_total{domain=\"a\\\"b\"} 2\n"
+              "fleet_errors_total{domain=\"c\\\\d\\ne\"} 0\n"
+              "# TYPE http_requests counter\n"
+              "http_requests 5\n"
+              "# TYPE req_latency_ns histogram\n"
+              "req_latency_ns_bucket{domain=\"web0\",le=\"3\"} 2\n"
+              "req_latency_ns_bucket{domain=\"web0\",le=\"101\"} 3\n"
+              "req_latency_ns_bucket{domain=\"web0\",le=\"+Inf\"} 3\n"
+              "req_latency_ns_sum{domain=\"web0\"} 106\n"
+              "req_latency_ns_count{domain=\"web0\"} 3\n"
+              "req_latency_ns_bucket{domain=\"web1\",le=\"40\"} 1\n"
+              "req_latency_ns_bucket{domain=\"web1\",le=\"+Inf\"} 1\n"
+              "req_latency_ns_sum{domain=\"web1\"} 40\n"
+              "req_latency_ns_count{domain=\"web1\"} 1\n");
+
+    // Members are addressable and enumerable by label value.
+    EXPECT_EQ(reg.findHistogram("req.latency_ns", "web0"), &web0);
+    EXPECT_EQ(reg.findCounter("fleet.errors_total", "a\"b")->value(), 2u);
+    auto family = reg.histogramFamily("req.latency_ns");
+    ASSERT_EQ(family.size(), 2u);
+    EXPECT_EQ(family.at("web1")->count(), 1u);
+    EXPECT_NE(reg.dump().find("req.latency_ns{domain=\"web1\"}"),
+              std::string::npos);
+}
+
 TEST(FlowTrackerTest, StagesMergeAndFinalizeIsDeferred)
 {
     TraceRecorder tr;
