@@ -359,26 +359,21 @@ WallProfiler::toPrometheus() const
     struct
     {
         const char *name;
-        WallPhase phase;
+        u64 ShardStats::*field;
     } series[] = {
-        {"shard_busy_ns", WallPhase::Execute},
-        {"shard_calc_ns", WallPhase::Calc},
-        {"shard_drain_ns", WallPhase::Drain},
-        {"shard_wait_ns", WallPhase::Wait},
-        {"shard_idle_ns", WallPhase::Idle},
+        {"shard_busy_ns", &ShardStats::busy_ns},
+        {"shard_calc_ns", &ShardStats::calc_ns},
+        {"shard_drain_ns", &ShardStats::drain_ns},
+        {"shard_wait_ns", &ShardStats::wait_ns},
+        {"shard_idle_ns", &ShardStats::idle_ns},
+        {"shard_events_total", &ShardStats::events},
     };
-    auto perShard = [&](const char *name, auto value) {
-        promType(out, name, "counter");
+    for (const auto &s : series) {
+        promType(out, s.name, "counter");
         for (unsigned w = 0; w < workers(); w++)
-            promSample(out, name, promLabel("shard", std::to_string(w)),
-                       std::to_string(value(*slots_[w])));
-    };
-    for (const auto &s : series)
-        perShard(s.name, [&](const Slot &slot) {
-            return slot.phase_ns[unsigned(s.phase)].load(relaxed);
-        });
-    perShard("shard_events_total",
-             [](const Slot &slot) { return slot.events.load(relaxed); });
+            promSample(out, s.name, promLabel("shard", std::to_string(w)),
+                       std::to_string(shardStats(w).*s.field));
+    }
     struct
     {
         const char *name, *type;
